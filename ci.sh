@@ -2,6 +2,11 @@
 # ci.sh — the checks a change must pass before merging.
 #
 #   1. tier-1: default (Release) build + the full ctest suite;
+#   1b. benchmark smoke: perfbench/tests/smoke_test.py runs every
+#      BENCHMARK.json workload at tiny shapes, untraced and traced,
+#      checks each result object's metrics and units, and demands that a
+#      --perturb run (one checked result corrupted) fails its residual
+#      check;
 #   2. kernel smoke: bench_kernels_gbench in JSON mode, failing on
 #      missing/zero/NaN flop rates (catches a microkernel that compiles
 #      but silently computes garbage or never runs);
@@ -80,6 +85,9 @@ echo "== tier-1: default config, full test suite =="
 cmake --preset default
 cmake --build --preset default -j "$JOBS"
 ctest --preset default -j "$JOBS"
+
+echo "== benchmark smoke: perfbench workloads at tiny shapes =="
+python3 perfbench/tests/smoke_test.py
 
 echo "== kernel smoke: flop rates finite and nonzero =="
 SMOKE_JSON=build/kernel_smoke.json

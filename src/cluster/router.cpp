@@ -682,6 +682,7 @@ void Router::Impl::process_down_input(std::uint64_t cid) {
   if (downs.count(cid)) {
     Down& d = downs[cid];
     if (off > 0) d.rbuf.erase(d.rbuf.begin(), d.rbuf.begin() + off);
+    net::shrink_if_drained(d.rbuf);
     if (!flush_down(d)) drop_down(cid);
   }
 }
@@ -1007,6 +1008,11 @@ bool Router::Impl::flush_down(Down& d) {
     if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return true;
     return false;
   }
+  // Fully flushed: drop the sent bytes so an idle client connection does
+  // not pin the capacity of its largest-ever result.
+  d.wbuf.clear();
+  d.woff = 0;
+  net::shrink_if_drained(d.wbuf);
   return true;
 }
 
@@ -1323,6 +1329,7 @@ void Router::Impl::process_up_input(std::uint64_t uid) {
   if (!ups.count(uid)) return;
   Up& u = ups[uid];
   if (off > 0) u.rbuf.erase(u.rbuf.begin(), u.rbuf.begin() + off);
+  net::shrink_if_drained(u.rbuf);
   if (broken) fail_up(uid);
 }
 
@@ -1520,6 +1527,11 @@ bool Router::Impl::flush_up(Up& u) {
     if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return true;
     return false;
   }
+  // Fully flushed: a pooled upstream conn must not pin the capacity of
+  // its largest-ever inline submit.
+  u.wbuf.clear();
+  u.woff = 0;
+  net::shrink_if_drained(u.wbuf);
   return true;
 }
 

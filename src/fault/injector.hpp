@@ -1,10 +1,12 @@
 // injector.hpp — deterministic fault-injection plane (DESIGN.md §10).
 //
 // A FaultInjector is the single decision oracle every layer consults at
-// its injection sites: the scheduler before running a job (device death,
-// worker hangs, artificial latency), sim::Device before a task
-// (transient stalls), and net::Server at frame boundaries (connection
-// resets, corrupted/truncated frames, delayed writes). Decisions are
+// its injection sites: the scheduler at job pickup (device death) and
+// once per dispatch on the worker thread (transient stalls, worker
+// hangs, artificial latency), and net::Server at frame boundaries
+// (connection resets, corrupted/truncated frames, delayed writes).
+// sim::Device has no injection site; it serves only the Fig. 15
+// multi-GPU reproduction. Decisions are
 // pure functions of (seed, kind, per-kind decision index) through the
 // library's Philox4x32 block cipher, so the same seed and schedule
 // reproduce the identical injection sequence per kind regardless of
@@ -40,7 +42,7 @@ namespace randla::fault {
 
 enum class FaultKind : std::uint8_t {
   DeviceFail = 0,    ///< simulated device dies at job pickup
-  DeviceStall,       ///< sim::Device sleeps before running a task
+  DeviceStall,       ///< scheduler worker sleeps before a dispatch runs
   WorkerHang,        ///< job wedges until the watchdog cancels it
   JobLatency,        ///< artificial delay before a job executes
   ConnReset,         ///< server drops the connection at a frame boundary

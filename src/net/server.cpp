@@ -29,18 +29,6 @@ namespace randla::net {
 
 namespace {
 
-// Per-connection buffers grow by doubling to the largest frame ever seen
-// on that conn; a single big upload would otherwise pin ~64 MiB per
-// connection forever. Once a buffer fully drains, release capacity above
-// this threshold back to the allocator.
-constexpr std::size_t kBufShrinkBytes = 64 * 1024;
-
-void shrink_if_drained(std::vector<std::uint8_t>& buf) {
-  if (buf.empty() && buf.capacity() > kBufShrinkBytes) {
-    buf.shrink_to_fit();
-  }
-}
-
 ortho::Scheme scheme_from_wire(std::uint8_t code) {
   switch (code) {
     case 0: return ortho::Scheme::CholQR;

@@ -1,17 +1,21 @@
 // socket_util.hpp — the nonblocking-socket / connect / sockaddr setup
-// shared by net::Server, net::Client, and cluster::Router.
+// and connection-buffer hygiene shared by net::Server, net::Client, and
+// cluster::Router.
 //
-// Every TCP endpoint in the tree needs the same four moves: parse a
+// Every TCP endpoint in the tree needs the same moves: parse a
 // dotted-quad into a sockaddr_in, bind+listen a nonblocking listener,
-// connect a TCP_NODELAY client socket, and flip O_NONBLOCK / SO_RCVTIMEO
-// on an fd. They used to be copy-pasted per call site; this header is
-// the single implementation. All helpers are errno-preserving and report
+// connect a TCP_NODELAY client socket, flip O_NONBLOCK / SO_RCVTIMEO on
+// an fd, and give a drained connection buffer's memory back. They used
+// to be copy-pasted per call site; this header is the single
+// implementation. All helpers are errno-preserving and report
 // failure detail through an optional out-string instead of stderr so
 // callers decide how loud to be.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
+#include <vector>
 
 struct sockaddr_in;
 
@@ -44,5 +48,17 @@ int listen_tcp(const std::string& bind_addr, std::uint16_t port, int backlog,
 /// fd, or -1 with a diagnostic in `err` (when non-null). The fd is left
 /// blocking; callers that poll it call set_nonblocking() themselves.
 int connect_tcp(const std::string& host, std::uint16_t port, std::string* err);
+
+/// Per-connection buffers grow by doubling to the largest frame ever seen
+/// on that conn; a single big upload or result would otherwise pin its
+/// capacity for the connection's lifetime. Once a buffer fully drains,
+/// capacity above this threshold goes back to the allocator.
+inline constexpr std::size_t kBufShrinkBytes = 64 * 1024;
+
+/// Release `buf`'s capacity when it is empty and holds more than
+/// kBufShrinkBytes; a no-op otherwise.
+inline void shrink_if_drained(std::vector<std::uint8_t>& buf) {
+  if (buf.empty() && buf.capacity() > kBufShrinkBytes) buf.shrink_to_fit();
+}
 
 }  // namespace randla::net

@@ -97,14 +97,12 @@ bool escalatable(ortho::Scheme s) {
 
 Scheduler::Scheduler(SchedulerOptions opts)
     : opts_(std::move(opts)),
-      ctx_(std::make_unique<sim::MultiDeviceContext>(
-          std::max(1, opts_.num_workers), opts_.spec, opts_.injector)),
       queue_(opts_.queue_capacity),
       sketches_(opts_.enable_cache ? opts_.sketch_cache_capacity : 0),
       results_(opts_.enable_cache ? opts_.result_cache_capacity : 0),
       rqrcps_(opts_.enable_cache ? opts_.rqrcp_cache_capacity : 0),
       start_(std::chrono::steady_clock::now()) {
-  const int n = ctx_->num_devices();
+  const int n = std::max(1, opts_.num_workers);
   healthy_.store(n);
   unhealthy_gauge().set(0);
   // Touch the fault/watchdog series so a Stats scrape carries them even
@@ -136,14 +134,14 @@ double Scheduler::now() const {
       .count();
 }
 
-int Scheduler::num_workers() const { return ctx_->num_devices(); }
+int Scheduler::num_workers() const { return static_cast<int>(slots_.size()); }
 
 std::vector<WorkerStats> Scheduler::worker_stats() const {
   std::vector<WorkerStats> out;
-  for (int i = 0; i < ctx_->num_devices(); ++i) {
-    auto& dev = ctx_->device(i);
-    out.push_back(WorkerStats{i, dev.tasks_run(), dev.busy_seconds(),
-                              dev.modeled_time()});
+  for (int i = 0; i < num_workers(); ++i) {
+    auto& slot = *slots_[static_cast<std::size_t>(i)];
+    std::lock_guard<std::mutex> lk(slot.mu);
+    out.push_back(WorkerStats{i, slot.jobs, slot.busy_s, slot.modeled_s});
   }
   return out;
 }
@@ -163,25 +161,24 @@ FaultStats Scheduler::fault_stats() const {
 
 std::vector<DeviceHealthInfo> Scheduler::device_health() const {
   std::vector<DeviceHealthInfo> out;
-  for (int i = 0; i < ctx_->num_devices(); ++i) {
-    const auto& dev = ctx_->device(i);
-    out.push_back(DeviceHealthInfo{i, !dev.failed(), dev.tasks_run(),
-                                   dev.modeled_time()});
+  for (int i = 0; i < num_workers(); ++i) {
+    auto& slot = *slots_[static_cast<std::size_t>(i)];
+    std::lock_guard<std::mutex> lk(slot.mu);
+    out.push_back(
+        DeviceHealthInfo{i, !slot.failed.load(), slot.jobs, slot.modeled_s});
   }
   return out;
 }
 
 void Scheduler::mark_device_failed(int widx) {
-  auto& dev = ctx_->device(widx);
-  if (dev.failed()) return;
-  dev.mark_failed();
+  if (slots_[static_cast<std::size_t>(widx)]->failed.exchange(true)) return;
   device_failures_.fetch_add(1);
   const int left = healthy_.fetch_sub(1) - 1;
-  unhealthy_gauge().set(double(ctx_->num_devices() - left));
+  unhealthy_gauge().set(double(num_workers() - left));
 }
 
 void Scheduler::fail_device(int device) {
-  if (device < 0 || device >= ctx_->num_devices()) return;
+  if (device < 0 || device >= num_workers()) return;
   mark_device_failed(device);
   // The retiring worker may be parked in pop(); nothing to wake it with
   // short of work, and that is fine — it hands off or exits on its next
@@ -226,8 +223,9 @@ void Scheduler::handoff(PendingJob pending, int widx) {
   // exclusion mask is a subset of the dead set; the check also guards
   // the window where a device died after being recorded.)
   int eligible = 0;
-  for (int i = 0; i < ctx_->num_devices(); ++i)
-    if (!ctx_->device(i).failed() && !(pending.excluded_devices & (1u << (i & 31))))
+  for (int i = 0; i < num_workers(); ++i)
+    if (!slots_[static_cast<std::size_t>(i)]->failed.load() &&
+        !(pending.excluded_devices & (1u << (i & 31))))
       ++eligible;
   if (pending.resubmits > opts_.max_resubmits) {
     fail_pending(std::move(pending), "device failed; resubmit budget exhausted");
@@ -335,7 +333,7 @@ void Scheduler::drain() {
 }
 
 void Scheduler::worker_loop(int widx) {
-  auto& dev = ctx_->device(widx);
+  auto& self = *slots_[static_cast<std::size_t>(widx)];
   for (;;) {
     auto pending = queue_.pop();
     if (!pending) return;
@@ -345,12 +343,13 @@ void Scheduler::worker_loop(int widx) {
     // Injected device death is decided at job pickup, and never fires
     // when this is the last healthy device — chaos runs must degrade,
     // not go dark. An externally failed device (fail_device) is caught
-    // by the same check.
-    if (!dev.failed() && opts_.injector && healthy_.load() > 1 &&
+    // by the same check; one failed while a dispatch runs finishes that
+    // dispatch and retires here at its next pickup.
+    if (!self.failed.load() && opts_.injector && healthy_.load() > 1 &&
         opts_.injector->fire(fault::FaultKind::DeviceFail)) {
       mark_device_failed(widx);
     }
-    if (dev.failed()) {
+    if (self.failed.load()) {
       handoff(std::move(*pending), widx);
       // Retire. If this was the last worker standing, nothing will ever
       // pop again: fail the backlog so drain() cannot deadlock.
@@ -367,103 +366,7 @@ void Scheduler::worker_loop(int widx) {
       continue;
     }
 
-    // --- batching collector (DESIGN.md §12) ---------------------------
-    // Coalesce compatible queued FixedRank jobs behind this one into a
-    // single batched dispatch. A singleton batch falls through to the
-    // solo path below unchanged.
-    if (opts_.batch_max > 1) {
-      auto batch = collect_batch(std::move(*pending), widx);
-      if (batch.size() > 1) {
-        if (!run_batch(std::move(batch), widx)) {
-          // Device died mid-batch; every member was handed off. Retire.
-          if (healthy_.load() == 0) drain_queue_no_workers();
-          return;
-        }
-        continue;
-      }
-      pending = std::move(batch.front());
-    }
-
-    const double queue_wait = now() - pending->submit_s;
-    const std::uint64_t trace_id = pending->job.trace_id;
-    if (trace_id != 0 && obs::Tracer::global().enabled()) {
-      // The wait already happened; reconstruct its span from submit_s.
-      const auto begin =
-          start_ + std::chrono::duration_cast<
-                       std::chrono::steady_clock::duration>(
-                       std::chrono::duration<double>(pending->submit_s));
-      obs::Tracer::global().record_complete(
-          trace_id, "queue.wait", "runtime", begin,
-          std::chrono::steady_clock::now());
-    }
-
-    // Arm the watchdog slot for the duration of the execution.
-    auto cancel = std::make_shared<std::atomic<bool>>(false);
-    auto& slot = *slots_[static_cast<std::size_t>(widx)];
-    {
-      std::lock_guard<std::mutex> lk(slot.mu);
-      slot.cancel = cancel;
-      slot.started_s = now();
-      slot.budget_s = watchdog_budget(pending->job);
-      slot.job_id = pending->handle->id();
-      slot.fired = false;
-    }
-    obs::Recorder::global().record(obs::EventKind::JobDispatched,
-                                   pending->handle->id(), trace_id, widx, 0,
-                                   pending->job.tag);
-
-    JobOutcome outcome;
-    // Run on the simulated device's own thread, like a kernel launch:
-    // the worker blocks until its device finishes, so each device runs
-    // one job at a time while distinct devices overlap. The trace id is
-    // installed on the *device* thread so rsvd phase spans connect.
-    bool device_died = false;
-    try {
-      dev.submit([&] {
-           obs::ScopedTraceId scoped(trace_id);
-           obs::Span span("worker.exec", "runtime", trace_id);
-           outcome = execute(pending->job, widx, queue_wait, cancel);
-         })
-          .get();
-    } catch (const sim::DeviceFailedError&) {
-      // fail_device raced the failed() check above; treat it exactly
-      // like a pickup-time death.
-      device_died = true;
-    }
-    {
-      std::lock_guard<std::mutex> lk(slot.mu);
-      slot.cancel = nullptr;
-      slot.started_s = -1;
-    }
-    if (device_died) {
-      handoff(std::move(*pending), widx);
-      if (healthy_.load() == 0) drain_queue_no_workers();
-      return;
-    }
-
-    outcome.trace.job_id = pending->handle->id();
-    outcome.trace.trace_id = trace_id;
-    outcome.trace.tag = pending->job.tag;
-    outcome.trace.kind = job_kind(pending->job);
-    outcome.trace.submit_s = pending->submit_s;
-    outcome.trace.queue_wait_s = queue_wait;
-    outcome.trace.worker = widx;
-    dev.charge(outcome.trace.modeled_s);
-    if (outcome.trace.exec_s > 0) {
-      std::lock_guard<std::mutex> lk(calib_mu_);
-      exec_ema_s_ = exec_ema_s_ <= 0
-                        ? outcome.trace.exec_s
-                        : 0.8 * exec_ema_s_ + 0.2 * outcome.trace.exec_s;
-    }
-
-    telemetry_.record(outcome.trace);
-    pending->handle->fulfill(std::move(outcome));
-    inflight_.fetch_sub(1);
-    inflight_gauge().set(double(inflight_.load()));
-    {
-      std::lock_guard<std::mutex> lk(drain_mu_);  // pairs with drain()'s wait
-    }
-    drain_cv_.notify_all();
+    dispatch(collect_batch(std::move(*pending), widx), widx);
   }
 }
 
@@ -504,105 +407,141 @@ double Scheduler::watchdog_budget(const Job& job) const {
   return opts_.watchdog_multiple * d;
 }
 
-JobOutcome Scheduler::execute(const Job& job, int widx, double queue_wait,
-                              const std::shared_ptr<std::atomic<bool>>& cancel) {
-  (void)widx;
-  JobOutcome outcome;
-  JobTrace& trace = outcome.trace;
-
-  double deadline = job.deadline_s;
-  if (deadline == 0) deadline = opts_.default_deadline_s;
-  if (deadline < 0) deadline = 0;
-  trace.deadline_s = deadline;
-
-  if (deadline > 0 && queue_wait >= deadline) {
-    outcome.status = trace.status = JobStatus::Expired;
-    outcome.error = trace.error = "deadline exceeded while queued";
-    return outcome;
-  }
-  const double remaining = deadline > 0 ? deadline - queue_wait : 0;
-
-  if (opts_.injector) {
-    // Transient latency: the job still runs, it just pays first.
-    if (opts_.injector->fire(fault::FaultKind::JobLatency)) {
-      std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(
-          opts_.injector->config().latency_ms));
+std::vector<double> Scheduler::admit(
+    const std::vector<PendingJob>& batch, const std::vector<double>& queue_wait,
+    std::vector<JobOutcome>& outcomes,
+    const std::shared_ptr<std::atomic<bool>>& cancel) {
+  const std::size_t count = batch.size();
+  std::vector<double> remaining(count, -1);
+  bool any_live = false;
+  for (std::size_t i = 0; i < count; ++i) {
+    JobOutcome& outcome = outcomes[i];
+    JobTrace& trace = outcome.trace;
+    double deadline = batch[i].job.deadline_s;
+    if (deadline == 0) deadline = opts_.default_deadline_s;
+    if (deadline < 0) deadline = 0;
+    trace.deadline_s = deadline;
+    if (deadline > 0 && queue_wait[i] >= deadline) {
+      outcome.status = trace.status = JobStatus::Expired;
+      outcome.error = trace.error = "deadline exceeded while queued";
+      continue;
     }
-    // Injected hang: spin-sleep until the watchdog cancels us or the
-    // hang cap lapses (the latter keeps watchdog-less configurations
-    // from wedging forever). Cancelled jobs report a watchdog failure,
-    // which clients treat as retryable.
-    if (opts_.injector->fire(fault::FaultKind::WorkerHang)) {
-      const auto hang0 = std::chrono::steady_clock::now();
-      const double cap_s = opts_.injector->config().hang_cap_s;
-      for (;;) {
-        if (cancel && cancel->load(std::memory_order_acquire)) {
-          outcome.status = trace.status = JobStatus::Failed;
-          outcome.error = trace.error =
+    remaining[i] = deadline > 0 ? deadline - queue_wait[i] : 0;
+    any_live = true;
+  }
+  if (!any_live || !opts_.injector) return remaining;
+
+  // Injected faults fire once per dispatch that runs anything — a batch
+  // is one "launch", exactly like a solo job.
+  // Transient latency: the jobs still run, they just pay first.
+  if (opts_.injector->fire(fault::FaultKind::JobLatency)) {
+    std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(
+        opts_.injector->config().latency_ms));
+  }
+  // Injected hang: spin-sleep until the watchdog cancels us or the hang
+  // cap lapses (the latter keeps watchdog-less configurations from
+  // wedging forever). Cancelled jobs report a watchdog failure, which
+  // clients treat as retryable.
+  if (opts_.injector->fire(fault::FaultKind::WorkerHang)) {
+    const auto hang0 = std::chrono::steady_clock::now();
+    const double cap_s = opts_.injector->config().hang_cap_s;
+    for (;;) {
+      const double hung_s = std::chrono::duration<double>(
+                                std::chrono::steady_clock::now() - hang0)
+                                .count();
+      if (cancel && cancel->load(std::memory_order_acquire)) {
+        for (std::size_t i = 0; i < count; ++i) {
+          if (remaining[i] < 0) continue;
+          JobOutcome& outcome = outcomes[i];
+          outcome.status = outcome.trace.status = JobStatus::Failed;
+          outcome.error = outcome.trace.error =
               "watchdog: cancelled after exceeding execution budget";
-          trace.exec_s = std::chrono::duration<double>(
-                             std::chrono::steady_clock::now() - hang0)
-                             .count();
-          return outcome;
+          outcome.trace.exec_s = hung_s;
+          remaining[i] = -1;
         }
-        if (std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                          hang0)
-                .count() >= cap_s)
-          break;  // hang over; the job proceeds normally
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        break;
       }
+      if (hung_s >= cap_s) break;  // hang over; the jobs proceed normally
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
   }
-
-  const auto t0 = std::chrono::steady_clock::now();
-  try {
-    if (const auto* fj = std::get_if<FixedRankJob>(&job.payload)) {
-      outcome = run_fixed_rank(*fj, trace, remaining);
-    } else if (const auto* aj = std::get_if<AdaptiveJob>(&job.payload)) {
-      auto res = std::make_shared<rsvd::AdaptiveResult>(
-          rsvd::adaptive_sample(aj->a->view(), aj->opts));
-      trace.phases = res->phases;
-      trace.flops = res->flops;
-      trace.cholqr_fallbacks = res->cholqr_fallbacks;
-      trace.q_requested = trace.q_used = aj->opts.q;
-      const index_t final_l =
-          res->trace.empty() ? aj->opts.l_init : res->trace.back().l;
-      trace.modeled_s = model::estimate_random_sampling(
-                            opts_.spec, aj->a->rows(), aj->a->cols(), final_l,
-                            aj->opts.q)
-                            .total();
-      outcome.adaptive = std::move(res);
-      outcome.status = trace.status = JobStatus::Done;
-    } else if (const auto* rj = std::get_if<RqrcpJob>(&job.payload)) {
-      outcome = run_rqrcp(*rj, trace, remaining);
-    } else {
-      const auto& qj = std::get<QrcpJob>(job.payload);
-      rsvd::PhaseTimer t(trace.phases.qrcp, "rsvd.qrcp");
-      auto fac = std::make_shared<qrcp::QrcpFactors<double>>(
-          qrcp::qrcp_truncated<double>(qj.a->view(), qj.k, qj.block));
-      trace.flops.qrcp = fac->stats.flops_blas2 + fac->stats.flops_blas3;
-      trace.modeled_s =
-          model::estimate_qp3(opts_.spec, qj.a->rows(), qj.a->cols(), qj.k)
-              .seconds;
-      outcome.qrcp = std::move(fac);
-      outcome.status = trace.status = JobStatus::Done;
-    }
-  } catch (const std::exception& e) {
-    outcome.status = trace.status = JobStatus::Failed;
-    outcome.error = trace.error = e.what();
-  }
-  trace.exec_s =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
-  return outcome;
+  return remaining;
 }
 
-JobOutcome Scheduler::run_fixed_rank(const FixedRankJob& fj, JobTrace& trace,
-                                     double remaining_s) {
-  rsvd::FixedRankOptions opts = fj.opts;
-  trace.q_requested = opts.q;
-  degrade_to_fit(opts, fj.a->rows(), fj.a->cols(), remaining_s, trace);
-  return finish_fixed_rank(fj, std::move(opts), trace, nullptr);
+void Scheduler::execute(const std::vector<PendingJob>& batch,
+                        const std::vector<double>& queue_wait,
+                        std::vector<JobOutcome>& outcomes,
+                        const std::shared_ptr<std::atomic<bool>>& cancel) {
+  const std::size_t count = batch.size();
+  const std::vector<double> remaining =
+      admit(batch, queue_wait, outcomes, cancel);
+
+  // Fixed-rank plans shed power iterations to fit the deadline before
+  // any Step-1 runs, so a shared batched sample uses each job's own q.
+  std::vector<rsvd::FixedRankOptions> plan(count);
+  for (std::size_t i = 0; i < count; ++i) {
+    const auto* fj = std::get_if<FixedRankJob>(&batch[i].job.payload);
+    if (remaining[i] < 0 || fj == nullptr) continue;
+    plan[i] = fj->opts;
+    outcomes[i].trace.q_requested = fj->opts.q;
+    degrade_to_fit(plan[i], fj->a->rows(), fj->a->cols(), remaining[i],
+                   outcomes[i].trace);
+  }
+  std::vector<std::shared_ptr<SketchEntry>> fresh(count);
+  if (count > 1) sample_batched(batch, plan, remaining, fresh);
+
+  for (std::size_t i = 0; i < count; ++i) {
+    if (remaining[i] < 0) continue;
+    const Job& job = batch[i].job;
+    JobOutcome& outcome = outcomes[i];
+    JobTrace& trace = outcome.trace;
+    // A batched member's exec_s adds its flops-share of the shared
+    // Step-1 wall — summed over the batch it matches the real dispatch
+    // time, so the EMA behind Retry-After stays honest.
+    const double step1_s = fresh[i] ? fresh[i]->phases.total() : 0;
+    const auto t0 = std::chrono::steady_clock::now();
+    try {
+      if (const auto* fj = std::get_if<FixedRankJob>(&job.payload)) {
+        outcome = finish_fixed_rank(*fj, std::move(plan[i]), trace,
+                                    std::move(fresh[i]));
+      } else if (const auto* aj = std::get_if<AdaptiveJob>(&job.payload)) {
+        auto res = std::make_shared<rsvd::AdaptiveResult>(
+            rsvd::adaptive_sample(aj->a->view(), aj->opts));
+        trace.phases = res->phases;
+        trace.flops = res->flops;
+        trace.cholqr_fallbacks = res->cholqr_fallbacks;
+        trace.q_requested = trace.q_used = aj->opts.q;
+        const index_t final_l =
+            res->trace.empty() ? aj->opts.l_init : res->trace.back().l;
+        trace.modeled_s = model::estimate_random_sampling(
+                              opts_.spec, aj->a->rows(), aj->a->cols(),
+                              final_l, aj->opts.q)
+                              .total();
+        outcome.adaptive = std::move(res);
+        outcome.status = trace.status = JobStatus::Done;
+      } else if (const auto* rj = std::get_if<RqrcpJob>(&job.payload)) {
+        outcome = run_rqrcp(*rj, trace, remaining[i]);
+      } else {
+        const auto& qj = std::get<QrcpJob>(job.payload);
+        rsvd::PhaseTimer t(trace.phases.qrcp, "rsvd.qrcp");
+        auto fac = std::make_shared<qrcp::QrcpFactors<double>>(
+            qrcp::qrcp_truncated<double>(qj.a->view(), qj.k, qj.block));
+        trace.flops.qrcp = fac->stats.flops_blas2 + fac->stats.flops_blas3;
+        trace.modeled_s =
+            model::estimate_qp3(opts_.spec, qj.a->rows(), qj.a->cols(), qj.k)
+                .seconds;
+        outcome.qrcp = std::move(fac);
+        outcome.status = trace.status = JobStatus::Done;
+      }
+    } catch (const std::exception& e) {
+      outcome.status = trace.status = JobStatus::Failed;
+      outcome.error = trace.error = e.what();
+    }
+    trace.exec_s = std::chrono::duration<double>(
+                       std::chrono::steady_clock::now() - t0)
+                       .count() +
+                   step1_s;
+  }
 }
 
 JobOutcome Scheduler::run_rqrcp(const RqrcpJob& rj, JobTrace& trace,
@@ -811,15 +750,15 @@ Scheduler::PassResult Scheduler::fixed_rank_pass(
 }
 
 // ---------------------------------------------------------------------
-// Batching collector (DESIGN.md §12)
+// Batching collector (DESIGN.md §12) and the dispatch tail
 
 std::vector<Scheduler::PendingJob> Scheduler::collect_batch(PendingJob first,
                                                             int widx) {
   std::vector<PendingJob> batch;
   batch.reserve(static_cast<std::size_t>(std::max(1, opts_.batch_max)));
   const auto* lead = std::get_if<FixedRankJob>(&first.job.payload);
-  const bool leadable =
-      lead != nullptr && lead->opts.sampling == rsvd::SamplingKind::Gaussian;
+  const bool leadable = opts_.batch_max > 1 && lead != nullptr &&
+                        lead->opts.sampling == rsvd::SamplingKind::Gaussian;
   const ortho::Scheme scheme =
       leadable ? lead->opts.power_ortho : ortho::Scheme::CholQR2;
   batch.push_back(std::move(first));
@@ -836,7 +775,7 @@ std::vector<Scheduler::PendingJob> Scheduler::collect_batch(PendingJob first,
            fj->opts.power_ortho == scheme;
   };
   const auto t0 = std::chrono::steady_clock::now();
-  const auto cap = static_cast<std::size_t>(std::max(1, opts_.batch_max));
+  const auto cap = static_cast<std::size_t>(opts_.batch_max);
   while (batch.size() < cap) {
     if (auto next = queue_.try_pop_if(compatible)) {
       batch.push_back(std::move(*next));
@@ -855,21 +794,22 @@ std::vector<Scheduler::PendingJob> Scheduler::collect_batch(PendingJob first,
   return batch;
 }
 
-bool Scheduler::run_batch(std::vector<PendingJob> batch, int widx) {
-  auto& dev = ctx_->device(widx);
+void Scheduler::dispatch(std::vector<PendingJob> batch, int widx) {
   const std::size_t count = batch.size();
-  const double dispatch_s = now();
-
-  batches_.fetch_add(1);
-  batched_jobs_.fetch_add(count);
-  batches_counter().inc();
-  batched_jobs_counter().add(double(count));
-  batch_occupancy_gauge().set(double(count) /
-                              double(std::max(1, opts_.batch_max)));
+  if (count > 1) {
+    batches_.fetch_add(1);
+    batched_jobs_.fetch_add(count);
+    batches_counter().inc();
+    batched_jobs_counter().add(double(count));
+    batch_occupancy_gauge().set(double(count) /
+                                double(std::max(1, opts_.batch_max)));
+  }
 
   // Per-job queue→dispatch latency (includes the collector's linger).
-  std::vector<double> queue_wait(count);
+  // The wait already happened; reconstruct its span from submit_s.
+  const double dispatch_s = now();
   const auto dispatch_tp = std::chrono::steady_clock::now();
+  std::vector<double> queue_wait(count);
   for (std::size_t i = 0; i < count; ++i) {
     queue_wait[i] = dispatch_s - batch[i].submit_s;
     const std::uint64_t tid = batch[i].job.trace_id;
@@ -883,9 +823,10 @@ bool Scheduler::run_batch(std::vector<PendingJob> batch, int widx) {
     }
   }
 
-  // One watchdog slot guards the whole dispatch; the budget is the max
-  // per-job budget so a shared batch is never cancelled earlier than its
-  // most patient member would have been alone.
+  // Arm the watchdog slot for the duration of the dispatch. One slot
+  // guards a whole batch; the budget is the max per-job budget so a
+  // shared batch is never cancelled earlier than its most patient member
+  // would have been alone.
   auto cancel = std::make_shared<std::atomic<bool>>(false);
   double budget = 0;
   for (const auto& p : batch)
@@ -901,30 +842,38 @@ bool Scheduler::run_batch(std::vector<PendingJob> batch, int widx) {
     slot.job_id = batch.front().handle->id();
     slot.fired = false;
   }
-  for (std::size_t i = 0; i < count; ++i)
-    obs::Recorder::global().record(obs::EventKind::JobBatched,
-                                   batch[i].handle->id(),
-                                   batch[i].job.trace_id, widx,
-                                   static_cast<std::int64_t>(count),
-                                   batch[i].job.tag);
+  for (const auto& p : batch)
+    obs::Recorder::global().record(
+        count == 1 ? obs::EventKind::JobDispatched : obs::EventKind::JobBatched,
+        p.handle->id(), p.job.trace_id, widx,
+        count == 1 ? 0 : static_cast<std::int64_t>(count), p.job.tag);
 
   std::vector<JobOutcome> outcomes(count);
-  bool device_died = false;
-  try {
-    dev.submit([&] { execute_batch(batch, queue_wait, outcomes, cancel); })
-        .get();
-  } catch (const sim::DeviceFailedError&) {
-    device_died = true;
+  {
+    // A solo job's trace id is installed on this thread so the rsvd
+    // phase spans it opens connect to its request.
+    obs::ScopedTraceId scoped(count == 1 ? batch.front().job.trace_id : 0);
+    // Transient stall injection, once per dispatch (PCIe hiccup, thermal
+    // throttle): inside the armed slot, so it counts against the
+    // watchdog budget, and the jobs still run afterwards.
+    if (opts_.injector &&
+        opts_.injector->fire(fault::FaultKind::DeviceStall))
+      std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(
+          opts_.injector->config().stall_ms));
+    execute(batch, queue_wait, outcomes, cancel);
   }
   const auto done_tp = std::chrono::steady_clock::now();
+  double modeled_s = 0;
+  for (const auto& o : outcomes) modeled_s += o.trace.modeled_s;
   {
+    // Counters land before any handle is fulfilled, so a caller that
+    // reads worker_stats() right after drain() sees every job.
     std::lock_guard<std::mutex> lk(slot.mu);
     slot.cancel = nullptr;
     slot.started_s = -1;
-  }
-  if (device_died) {
-    for (auto& p : batch) handoff(std::move(p), widx);
-    return false;
+    slot.jobs += count;
+    slot.busy_s += std::chrono::duration<double>(done_tp - dispatch_tp).count();
+    slot.modeled_s += modeled_s;
   }
 
   for (std::size_t i = 0; i < count; ++i) {
@@ -932,7 +881,7 @@ bool Scheduler::run_batch(std::vector<PendingJob> batch, int widx) {
     PendingJob& p = batch[i];
     const std::uint64_t tid = p.job.trace_id;
     if (tid != 0 && obs::Tracer::global().enabled()) {
-      // One exec span per member over the shared dispatch window.
+      // One exec span per member over the (shared) dispatch window.
       obs::Tracer::global().record_complete(tid, "worker.exec", "runtime",
                                             dispatch_tp, done_tp);
     }
@@ -944,7 +893,6 @@ bool Scheduler::run_batch(std::vector<PendingJob> batch, int widx) {
     outcome.trace.queue_wait_s = queue_wait[i];
     outcome.trace.worker = widx;
     outcome.trace.batch_size = static_cast<int>(count);
-    dev.charge(outcome.trace.modeled_s);
     if (outcome.trace.exec_s > 0) {
       std::lock_guard<std::mutex> lk(calib_mu_);
       exec_ema_s_ = exec_ema_s_ <= 0
@@ -960,80 +908,21 @@ bool Scheduler::run_batch(std::vector<PendingJob> batch, int widx) {
     std::lock_guard<std::mutex> lk(drain_mu_);  // pairs with drain()'s wait
   }
   drain_cv_.notify_all();
-  return true;
 }
 
-void Scheduler::execute_batch(std::vector<PendingJob>& batch,
-                              const std::vector<double>& queue_wait,
-                              std::vector<JobOutcome>& outcomes,
-                              const std::shared_ptr<std::atomic<bool>>& cancel) {
-  const std::size_t count = batch.size();
-
-  // Injected faults fire once per dispatch — a batch is one "launch",
-  // exactly like the solo path's single execute() call.
-  if (opts_.injector) {
-    if (opts_.injector->fire(fault::FaultKind::JobLatency)) {
-      std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(
-          opts_.injector->config().latency_ms));
-    }
-    if (opts_.injector->fire(fault::FaultKind::WorkerHang)) {
-      const auto hang0 = std::chrono::steady_clock::now();
-      const double cap_s = opts_.injector->config().hang_cap_s;
-      for (;;) {
-        if (cancel && cancel->load(std::memory_order_acquire)) {
-          for (std::size_t i = 0; i < count; ++i) {
-            auto& o = outcomes[i];
-            o.status = o.trace.status = JobStatus::Failed;
-            o.error = o.trace.error =
-                "watchdog: cancelled after exceeding execution budget";
-            o.trace.exec_s = std::chrono::duration<double>(
-                                 std::chrono::steady_clock::now() - hang0)
-                                 .count();
-          }
-          return;
-        }
-        if (std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                          hang0)
-                .count() >= cap_s)
-          break;  // hang over; the batch proceeds normally
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-      }
-    }
-  }
-
-  // Per-job admission: deadline bookkeeping mirrors execute() exactly,
-  // then jobs classify into (a) the shared batched Step-1 or (b) the
-  // solo ladder (cache hits, shapes the batched kernel rejects).
-  struct Plan {
-    rsvd::FixedRankOptions opts;
-    std::size_t item = SIZE_MAX;  ///< index into the batched Step-1 items
-    bool done = false;            ///< expired before dispatch
-  };
-  std::vector<Plan> plans(count);
+void Scheduler::sample_batched(
+    const std::vector<PendingJob>& batch,
+    const std::vector<rsvd::FixedRankOptions>& plan,
+    const std::vector<double>& remaining,
+    std::vector<std::shared_ptr<SketchEntry>>& fresh) {
+  // Members that skip the shared Step-1 run the solo ladder instead:
+  // cache hits, and shapes the batched kernel rejects.
   std::vector<rsvd::SampleBatchItem> items;
   std::vector<std::size_t> item_job;  // item index → job index
-
-  for (std::size_t i = 0; i < count; ++i) {
-    const Job& job = batch[i].job;
-    JobOutcome& outcome = outcomes[i];
-    JobTrace& tr = outcome.trace;
-    double deadline = job.deadline_s;
-    if (deadline == 0) deadline = opts_.default_deadline_s;
-    if (deadline < 0) deadline = 0;
-    tr.deadline_s = deadline;
-    if (deadline > 0 && queue_wait[i] >= deadline) {
-      outcome.status = tr.status = JobStatus::Expired;
-      outcome.error = tr.error = "deadline exceeded while queued";
-      plans[i].done = true;
-      continue;
-    }
-    const double remaining = deadline > 0 ? deadline - queue_wait[i] : 0;
-    const auto& fj = std::get<FixedRankJob>(job.payload);
-    plans[i].opts = fj.opts;
-    tr.q_requested = fj.opts.q;
-    degrade_to_fit(plans[i].opts, fj.a->rows(), fj.a->cols(), remaining, tr);
-
-    const auto& opts = plans[i].opts;
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    if (remaining[i] < 0) continue;
+    const auto& fj = std::get<FixedRankJob>(batch[i].job.payload);
+    const auto& opts = plan[i];
     const index_t l = opts.k + opts.p;
     const index_t mn = std::min(fj.a->rows(), fj.a->cols());
     if (opts.k <= 0 || opts.p < 0 || opts.q < 0 || l > mn)
@@ -1045,58 +934,28 @@ void Scheduler::execute_batch(std::vector<PendingJob>& batch,
     if (sketch && sketch->b.rows() >= l)
       continue;  // Steps 2–3 only; there is no Step-1 to batch
 
-    plans[i].item = items.size();
     item_job.push_back(i);
     rsvd::SampleBatchItem item;
     item.a = fj.a->view();
     item.opts = opts;
     items.push_back(std::move(item));
   }
-
-  // One shared Step-1 for every cache-missing member.
-  if (!items.empty()) {
-    try {
-      rsvd::compute_samples_batched(items.data(),
-                                    static_cast<index_t>(items.size()));
-    } catch (...) {
-      // Unreachable after the shape guards above, but never let a batch
-      // kernel refusal fail N jobs: fall back to the solo ladder each.
-      for (const std::size_t j : item_job) plans[j].item = SIZE_MAX;
-    }
+  if (items.empty()) return;
+  try {
+    rsvd::compute_samples_batched(items.data(),
+                                  static_cast<index_t>(items.size()));
+  } catch (...) {
+    // Unreachable after the shape guards above, but never let a batch
+    // kernel refusal fail N jobs: each falls back to the solo ladder.
+    return;
   }
-
-  // Per-job Steps 2–3, caches, and the retry ladder — the solo
-  // machinery, with the batched sample injected as the first pass.
-  for (std::size_t i = 0; i < count; ++i) {
-    if (plans[i].done) continue;
-    JobOutcome& outcome = outcomes[i];
-    JobTrace& tr = outcome.trace;
-    const auto& fj = std::get<FixedRankJob>(batch[i].job.payload);
-    double step1_attr = 0;
-    const auto t0 = std::chrono::steady_clock::now();
-    try {
-      std::shared_ptr<SketchEntry> fresh;
-      if (plans[i].item != SIZE_MAX) {
-        auto& item = items[plans[i].item];
-        fresh = std::make_shared<SketchEntry>();
-        fresh->b = std::move(item.b);
-        fresh->phases = item.phases;  // flops-share attributed batch time
-        fresh->flops = item.flops;
-        fresh->cholqr_fallbacks = item.cholqr_fallbacks;
-        step1_attr = item.phases.total();
-      }
-      outcome = finish_fixed_rank(fj, plans[i].opts, tr, std::move(fresh));
-    } catch (const std::exception& e) {
-      outcome.status = tr.status = JobStatus::Failed;
-      outcome.error = tr.error = e.what();
-    }
-    // exec_s = this job's own finishing wall time plus its flops-share
-    // of the shared Step-1 wall — summed over the batch it matches the
-    // real dispatch time, so the EMA behind Retry-After stays honest.
-    outcome.trace.exec_s =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count() +
-        step1_attr;
+  for (std::size_t j = 0; j < items.size(); ++j) {
+    auto entry = std::make_shared<SketchEntry>();
+    entry->b = std::move(items[j].b);
+    entry->phases = items[j].phases;  // flops-share attributed batch time
+    entry->flops = items[j].flops;
+    entry->cholqr_fallbacks = items[j].cholqr_fallbacks;
+    fresh[item_job[j]] = std::move(entry);
   }
 }
 

@@ -1,12 +1,13 @@
 // scheduler.hpp — concurrent batch-serving runtime (see DESIGN.md §7).
 //
-// A Scheduler owns a bounded admission queue and one worker per
-// simulated device of a sim::MultiDeviceContext. Producers submit typed
-// Jobs and immediately get a JobHandle plus a reject-on-full
-// backpressure verdict; workers pop jobs and execute them *on the
-// device's thread* (charging modeled K40c time to the device's virtual
-// clock), consulting the two-level sketch/result cache for fixed-rank
-// requests.
+// A Scheduler owns a bounded admission queue and num_workers worker
+// threads. Producers submit typed Jobs and immediately get a JobHandle
+// plus a reject-on-full backpressure verdict; each worker pops a job (or
+// a coalesced batch) and executes it inline on its own thread,
+// consulting the two-level sketch/result cache for fixed-rank requests
+// and charging the modeled K40c seconds of each job to that worker's
+// record. (sim::Device threads serve only the Fig. 15 multi-GPU
+// reproduction, not this runtime.)
 //
 // Robustness policy per job:
 //   * deadline — a job whose queue wait already exceeds its deadline
@@ -16,10 +17,10 @@
 //   * retry — if a run reports CholQR breakdown (cholqr_fallbacks > 0),
 //     the job is re-run with the next stabler orthogonalization
 //     (CholQR → CholQR2 → HHQR), bounded by max_retries;
-//   * failover — a device that dies (injected DeviceFail or an external
-//     fail_device call) is marked unhealthy and its worker retires; the
+//   * failover — a worker whose device dies (injected DeviceFail or an
+//     external fail_device call) is marked unhealthy and retires; the
 //     job it held is requeued at the front onto the survivors with the
-//     dead device recorded in its excluded_devices mask, bounded by
+//     dead worker recorded in its excluded_devices mask, bounded by
 //     max_resubmits; capacity rebalances because the remaining workers
 //     own the whole queue (DESIGN.md §10);
 //   * watchdog — an optional monitor thread cancels (cooperatively)
@@ -45,12 +46,11 @@
 #include "runtime/job.hpp"
 #include "runtime/queue.hpp"
 #include "runtime/telemetry.hpp"
-#include "sim/multi_gpu.hpp"
 
 namespace randla::runtime {
 
 struct SchedulerOptions {
-  int num_workers = 2;              ///< simulated devices == worker threads
+  int num_workers = 2;              ///< worker threads, one modeled device each
   std::size_t queue_capacity = 64;  ///< high-water mark: reject past this
   double default_deadline_s = 0;    ///< per-job deadline when job says 0
   std::size_t sketch_cache_capacity = 32;
@@ -92,12 +92,12 @@ struct SubmitResult {
   std::shared_ptr<JobHandle> handle;
 };
 
-/// Per-worker utilization snapshot (device counters + virtual clock).
+/// Per-worker utilization snapshot.
 struct WorkerStats {
   int worker = 0;
-  std::uint64_t jobs = 0;
-  double busy_s = 0;     ///< real seconds inside jobs
-  double modeled_s = 0;  ///< modeled K40c seconds charged
+  std::uint64_t jobs = 0;  ///< jobs fulfilled (each member of a batch counts)
+  double busy_s = 0;       ///< real seconds inside dispatches
+  double modeled_s = 0;    ///< modeled K40c seconds charged
 };
 
 /// Recovery-machinery counters (HealthReply + chaos-run accounting).
@@ -205,8 +205,9 @@ class Scheduler {
     int resubmits = 0;                   ///< failover handoffs so far
   };
 
-  /// Cooperative cancellation slot, one per worker: the watchdog reads
-  /// the running job's start/budget and flips its cancel token.
+  /// One per worker: the watchdog's cooperative-cancellation slot for
+  /// the running dispatch (start/budget/cancel token), plus the worker's
+  /// health flag and utilization counters.
   struct ExecSlot {
     std::mutex mu;
     std::shared_ptr<std::atomic<bool>> cancel;  ///< null when idle
@@ -214,6 +215,10 @@ class Scheduler {
     double budget_s = 0;
     std::uint64_t job_id = 0;  ///< running job, for flight-recorder events
     bool fired = false;
+    std::uint64_t jobs = 0;    ///< jobs fulfilled (guarded by mu)
+    double busy_s = 0;         ///< real dispatch seconds (guarded by mu)
+    double modeled_s = 0;      ///< modeled K40c seconds (guarded by mu)
+    std::atomic<bool> failed{false};  ///< irreversible device death
   };
 
   void worker_loop(int widx);
@@ -228,27 +233,41 @@ class Scheduler {
   /// fail whatever is still queued instead of deadlocking drain().
   void drain_queue_no_workers();
   double watchdog_budget(const Job& job) const;
-  JobOutcome execute(const Job& job, int widx, double queue_wait,
-                     const std::shared_ptr<std::atomic<bool>>& cancel);
-  JobOutcome run_fixed_rank(const FixedRankJob& fj, JobTrace& trace,
-                            double remaining_s);
+  // --- batching collector (DESIGN.md §12) -----------------------------
+  /// Drain compatible queued jobs behind `first` (size/linger window).
+  /// With batch_max 1, or a job that cannot lead a batch, the result is
+  /// a batch of one.
+  std::vector<PendingJob> collect_batch(PendingJob first, int widx);
+  /// Run a batch (a solo job is a batch of one) inline on worker `widx`:
+  /// queue-wait spans, watchdog slot, recorder events, execution, then
+  /// per-job telemetry and fulfillment.
+  void dispatch(std::vector<PendingJob> batch, int widx);
+  /// Deadline admission for every member, then the once-per-dispatch
+  /// JobLatency/WorkerHang injections. Returns each job's remaining
+  /// deadline budget (0 = none), or -1 for a job already settled in
+  /// `outcomes` (expired while queued, or cancelled by the watchdog).
+  std::vector<double> admit(const std::vector<PendingJob>& batch,
+                            const std::vector<double>& queue_wait,
+                            std::vector<JobOutcome>& outcomes,
+                            const std::shared_ptr<std::atomic<bool>>& cancel);
+  /// Dispatch body: admission, per-job planning, one shared batched
+  /// Step-1 for cache-missing members of a 2+ batch, then each job's own
+  /// engine (Steps 2–3 + retry ladder for fixed-rank).
+  void execute(const std::vector<PendingJob>& batch,
+               const std::vector<double>& queue_wait,
+               std::vector<JobOutcome>& outcomes,
+               const std::shared_ptr<std::atomic<bool>>& cancel);
   /// RQRCP engine dispatch: fingerprint-keyed result cache, deadline
   /// degradation by truncating the block sweep, per-phase obs metrics.
   JobOutcome run_rqrcp(const RqrcpJob& rj, JobTrace& trace,
                        double remaining_s);
-  // --- batching collector (DESIGN.md §12) -----------------------------
-  /// Drain compatible queued jobs behind `first` (size/linger window).
-  std::vector<PendingJob> collect_batch(PendingJob first, int widx);
-  /// Dispatch a coalesced batch on device `widx`; false → device died
-  /// mid-batch and every job was handed off (the worker must retire).
-  bool run_batch(std::vector<PendingJob> batch, int widx);
-  /// Device-thread body: per-job deadline/cache/degradation, one shared
-  /// batched Step-1, per-job Steps 2–3 + retry ladder.
-  void execute_batch(std::vector<PendingJob>& batch,
-                     const std::vector<double>& queue_wait,
-                     std::vector<JobOutcome>& outcomes,
-                     const std::shared_ptr<std::atomic<bool>>& cancel);
-  /// Shed power iterations to fit `remaining_s` (shared by both paths).
+  /// One shared Step-1 over the planned, cache-missing fixed-rank
+  /// members of a batch; fills `fresh[i]` for each sampled member.
+  void sample_batched(const std::vector<PendingJob>& batch,
+                      const std::vector<rsvd::FixedRankOptions>& plan,
+                      const std::vector<double>& remaining,
+                      std::vector<std::shared_ptr<SketchEntry>>& fresh);
+  /// Shed power iterations to fit `remaining_s`.
   void degrade_to_fit(rsvd::FixedRankOptions& opts, index_t m, index_t n,
                       double remaining_s, JobTrace& trace) const;
   /// Cache-aware retry ladder on already-degraded options; `fresh`, when
@@ -276,7 +295,6 @@ class Scheduler {
 
   SchedulerOptions opts_;
   Arena arena_;
-  std::unique_ptr<sim::MultiDeviceContext> ctx_;
   BoundedQueue<PendingJob> queue_;
   SketchCache sketches_;
   ResultCache results_;

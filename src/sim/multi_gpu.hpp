@@ -42,11 +42,7 @@ struct MultiFixedRankResult {
 
 class MultiDeviceContext {
  public:
-  /// `injector`, when set, is installed on every device (transient
-  /// DeviceStall faults); device *death* is driven by the layer above
-  /// (the scheduler's failover path) via Device::mark_failed.
-  MultiDeviceContext(int num_devices, model::DeviceSpec spec = {},
-                     fault::InjectorPtr injector = nullptr);
+  MultiDeviceContext(int num_devices, model::DeviceSpec spec = {});
   ~MultiDeviceContext();
 
   int num_devices() const { return static_cast<int>(devices_.size()); }
@@ -55,9 +51,6 @@ class MultiDeviceContext {
     return *devices_[static_cast<std::size_t>(i)];
   }
   const model::DeviceSpec& spec() const { return spec_; }
-
-  /// Devices not marked failed (the serving runtime's usable capacity).
-  int healthy_devices() const;
 
   /// A distributed in 1D block-row format (device i owns rows
   /// [offset[i], offset[i+1])).

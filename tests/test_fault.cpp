@@ -1,10 +1,12 @@
 // test_fault.cpp — fault-injection plane (DESIGN.md §10): schedule DSL
 // parsing, per-kind decision determinism, circuit-breaker transitions,
 // full-jitter backoff bounds, and the scheduler's recovery machinery
-// (device failover requeue, watchdog cancellation of injected hangs).
+// (device failover requeue, injected stalls, watchdog cancellation of
+// injected hangs).
 #include "test_util.hpp"
 
 #include <atomic>
+#include <chrono>
 #include <memory>
 #include <string>
 #include <thread>
@@ -272,6 +274,39 @@ TEST(SchedulerFault, AllDevicesDeadClosesIntake) {
   EXPECT_EQ(out.status, runtime::JobStatus::Rejected);
   EXPECT_NE(out.error.find("no healthy devices"), std::string::npos)
       << out.error;
+}
+
+// device_stall:1:2 stalls the first two dispatches on the worker: both
+// stalls fire inside the dispatch, every job still completes, and each
+// stalled job takes at least stall_ms from submit to fulfillment.
+TEST(SchedulerFault, DeviceStallDelaysButCompletes) {
+  runtime::SchedulerOptions so;
+  so.num_workers = 1;
+  so.injector = make_injector("device_stall:1:2", 12);
+  ASSERT_NE(so.injector, nullptr);
+  const double stall_s = so.injector->config().stall_ms * 1e-3;
+  runtime::Scheduler sched(so);
+
+  const auto input = runtime::make_input(
+      randla::testing::random_matrix<double>(64, 48, 13));
+  // One job at a time, so dispatch i runs exactly job i.
+  for (int i = 0; i < 4; ++i) {
+    const auto t0 = std::chrono::steady_clock::now();
+    auto sub = sched.submit(small_job(input, 200 + std::uint64_t(i)));
+    ASSERT_EQ(sub.status, runtime::PushStatus::Ok);
+    const auto& out = sub.handle->wait();
+    const double took_s = std::chrono::duration<double>(
+                              std::chrono::steady_clock::now() - t0)
+                              .count();
+    EXPECT_EQ(out.status, runtime::JobStatus::Done) << out.error;
+    if (i < 2) EXPECT_GE(took_s, stall_s) << "job " << i;
+  }
+  EXPECT_EQ(so.injector->injected(FaultKind::DeviceStall), 2u);
+  // The stalls count as busy dispatch time on the worker.
+  const auto ws = sched.worker_stats();
+  ASSERT_EQ(ws.size(), 1u);
+  EXPECT_EQ(ws[0].jobs, 4u);
+  EXPECT_GE(ws[0].busy_s, 2 * stall_s);
 }
 
 // worker_hang@1 wedges every execution; the watchdog must cancel it

@@ -3,7 +3,7 @@
 // residual checks against locally materialized inputs), Busy
 // backpressure under deliberate overload, malformed-frame handling,
 // mid-stream disconnects, connection caps, idle timeouts, graceful
-// drain, and remote shutdown.
+// drain, remote shutdown, and the shared connection-buffer shrink rule.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -16,6 +16,7 @@
 #include "la/permutation.hpp"
 #include "net/client.hpp"
 #include "net/server.hpp"
+#include "net/socket_util.hpp"
 #include "obs/trace.hpp"
 
 using namespace randla;
@@ -68,6 +69,25 @@ double fixed_rank_residual(const JobRequest& req, const CallResult& res) {
 }
 
 }  // namespace
+
+// Connection buffers (server conns, router downstream and upstream)
+// give capacity above kBufShrinkBytes back only once fully drained.
+TEST(NetBuffers, ShrinkIfDrainedReleasesOnlyEmptyLargeBuffers) {
+  std::vector<std::uint8_t> buf(4 * kBufShrinkBytes, 0x5a);
+  shrink_if_drained(buf);  // still holds bytes: untouched
+  EXPECT_EQ(buf.size(), 4 * kBufShrinkBytes);
+  EXPECT_GE(buf.capacity(), 4 * kBufShrinkBytes);
+
+  buf.clear();
+  shrink_if_drained(buf);  // drained and oversized: released
+  EXPECT_LE(buf.capacity(), kBufShrinkBytes);
+
+  std::vector<std::uint8_t> small;
+  small.reserve(kBufShrinkBytes / 2);
+  const std::size_t cap = small.capacity();
+  shrink_if_drained(small);  // drained but small: keeps its capacity
+  EXPECT_EQ(small.capacity(), cap);
+}
 
 TEST(NetServer, FixedRankLoopbackResidual) {
   runtime::Scheduler sched(small_sched());

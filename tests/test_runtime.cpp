@@ -216,6 +216,12 @@ TEST(Scheduler, BatchingCollectorMatchesSoloAnswersBitwise) {
     if (tr.batch_size > 1) ++traced_batched;
   }
   EXPECT_EQ(traced_batched, bs.batched_jobs);
+
+  // Worker accounting counts jobs, not dispatches: every batch member
+  // is one job.
+  std::uint64_t worker_jobs = 0;
+  for (const auto& ws : sched.worker_stats()) worker_jobs += ws.jobs;
+  EXPECT_EQ(worker_jobs, std::uint64_t(kJobs));
 }
 
 // batch_max = 1 must leave the solo path byte-for-byte untouched — no
