@@ -62,10 +62,11 @@
 #      duplicated client result and hedge traffic respects the budget;
 #      and a loadgen --drain-mid run pricing the drain-window p99 into
 #      BENCH_cluster_avail.json;
-#   7. memory safety: the wire-protocol, server, fault-plane, batched
-#      BLAS, zero-copy decode, and QRCP-engine suites rebuilt with
-#      -fsanitize=address,undefined (the `asan` preset), so
-#      adversarial frames and the arena lease/recycle paths run under
+#   7. memory safety: the wire-protocol, server, cluster-router,
+#      fault-plane, batched BLAS, zero-copy decode, and QRCP-engine
+#      suites rebuilt with -fsanitize=address,undefined (the `asan`
+#      preset), so adversarial frames, the shared FramedConn buffer
+#      offsets and the arena lease/recycle paths run under
 #      ASan/UBSan — plus one chaos replay
 #      under ASan, since injected resets/truncations exercise the
 #      buffer-handling edge paths;
@@ -292,12 +293,12 @@ echo "== cluster observability: merged scrape equals per-shard sums =="
 ./build/examples/randla_loadgen --cluster 2 --jobs 60 --threads 4 \
   --m 128 --n 64 --spread 16 --check-stats
 
-echo "== memory safety: ASan/UBSan on the wire protocol and server =="
+echo "== memory safety: ASan/UBSan on the wire protocol, server and router =="
 cmake --preset asan
 cmake --build --preset asan -j "$JOBS" \
   --target test_net_protocol test_net_server test_fault \
   test_batched_blas test_zero_copy_decode test_qrcp test_qrcp_rqrcp \
-  randla_loadgen
+  test_cluster_router randla_loadgen
 ctest --preset asan -j "$JOBS"
 
 echo "== chaos under ASan: fault paths memory-clean =="

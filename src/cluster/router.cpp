@@ -10,7 +10,6 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <deque>
 #include <map>
 #include <mutex>
@@ -64,7 +63,7 @@ struct Router::Impl {
   RouterOptions opts;
 
   int listen_fd = -1;
-  int wake_r = -1, wake_w = -1;
+  net::WakePipe wake;
   std::uint16_t bound_port = 0;
   std::thread thread;
   std::atomic<bool> started{false};
@@ -98,10 +97,7 @@ struct Router::Impl {
     std::vector<std::uint8_t> replica_frame;
   };
   struct Down {
-    int fd = -1;
-    std::vector<std::uint8_t> rbuf;
-    std::vector<std::uint8_t> wbuf;
-    std::size_t woff = 0;
+    net::FramedConn io;
     double last_active = 0;
     bool close_after_flush = false;
     std::uint64_t active_x = 0;  ///< exchange streaming to this client
@@ -112,11 +108,8 @@ struct Router::Impl {
 
   // --- upstream (shard side) ------------------------------------------
   struct Up {
-    int fd = -1;
+    net::FramedConn io;
     std::uint32_t shard = 0;
-    std::vector<std::uint8_t> rbuf;
-    std::vector<std::uint8_t> wbuf;
-    std::size_t woff = 0;
     std::uint64_t x = 0;  ///< bound exchange (0 = idle or probe)
     bool probe = false;
     double probe_start = 0;
@@ -259,7 +252,6 @@ struct Router::Impl {
 
   // Downstream.
   void read_down(std::uint64_t cid);
-  void process_down_input(std::uint64_t cid);
   void dispatch_down(std::uint64_t cid, net::FrameType type,
                      const std::uint8_t* frame, std::size_t frame_len);
   void handle_submit(std::uint64_t cid, const std::uint8_t* frame,
@@ -269,10 +261,9 @@ struct Router::Impl {
   void finalize_fanout(std::uint64_t fid);
   void check_fanouts(double t);
   void handle_health(std::uint64_t cid);
-  void queue_down(Down& d, std::vector<std::uint8_t> frame);
   void relay_down(std::uint64_t cid, const std::uint8_t* frame,
                   std::size_t len);
-  bool flush_down(Down& d);
+  bool flush_down(std::uint64_t cid);
   void drop_down(std::uint64_t cid);
 
   // Upstream + exchanges.
@@ -283,11 +274,9 @@ struct Router::Impl {
   std::uint64_t take_upstream(std::uint32_t shard);
   void release_upstream(std::uint64_t uid);
   void read_up(std::uint64_t uid);
-  void process_up_input(std::uint64_t uid);
   bool handle_up_frame(std::uint64_t uid, const net::FrameHeader& hdr,
-                       const std::uint8_t* frame, std::size_t frame_len);
+                       const std::uint8_t* frame);
   void finish_exchange(std::uint64_t xid);
-  bool flush_up(Up& u);
   void close_up(std::uint64_t uid);
   void fail_up(std::uint64_t uid) { failed_ups.push_back(uid); }
   void process_failed_ups();
@@ -348,15 +337,11 @@ bool Router::start() {
     std::fprintf(stderr, "cluster: %s\n", err.c_str());
     return false;
   }
-  int pipefd[2];
-  if (pipe(pipefd) != 0) {
+  if (!impl_->wake.open()) {
     close(impl_->listen_fd);
     impl_->listen_fd = -1;
     return false;
   }
-  impl_->wake_r = pipefd[0];
-  impl_->wake_w = pipefd[1];
-  net::set_nonblocking(impl_->wake_r);
   impl_->started.store(true);
   impl_->loop_alive.store(true);
   impl_->snapshot_views();
@@ -367,28 +352,14 @@ bool Router::start() {
 void Router::stop() {
   if (!impl_->started.load()) return;
   impl_->stop_requested.store(true);
-  {
-    std::lock_guard<std::mutex> lk(impl_->join_mu);
-    if (impl_->wake_w >= 0) {
-      const char b = 1;
-      ssize_t ignored = write(impl_->wake_w, &b, 1);
-      (void)ignored;
-    }
-  }
+  impl_->wake.notify();
   wait();
 }
 
 void Router::wait() {
   std::lock_guard<std::mutex> lk(impl_->join_mu);
   if (impl_->thread.joinable()) impl_->thread.join();
-  if (impl_->wake_r >= 0) {
-    close(impl_->wake_r);
-    impl_->wake_r = -1;
-  }
-  if (impl_->wake_w >= 0) {
-    close(impl_->wake_w);
-    impl_->wake_w = -1;
-  }
+  impl_->wake.close();  // the loop is gone
 }
 
 bool Router::drain(std::uint32_t shard, net::DrainSummary* summary) {
@@ -433,12 +404,7 @@ bool Router::Impl::drain_shard(std::uint32_t shard, net::DrainSummary* out) {
     std::lock_guard<std::mutex> lk(ctl_mu);
     drained_pending.push_back(shard);
   }
-  std::lock_guard<std::mutex> lk(join_mu);
-  if (wake_w >= 0) {
-    const char b = 1;
-    ssize_t ignored = write(wake_w, &b, 1);
-    (void)ignored;
-  }
+  wake.notify();
   return true;
 }
 
@@ -474,7 +440,7 @@ void Router::Impl::loop() {
     if (draining) {
       bool pending_writes = false;
       for (const auto& [id, d] : downs)
-        if (d.woff < d.wbuf.size()) pending_writes = true;
+        if (d.io.pending_write()) pending_writes = true;
       bool live_exchanges = !exchanges.empty() || !fanouts.empty();
       if ((!live_exchanges && !pending_writes) ||
           now() - drain_start > opts.drain_timeout_s)
@@ -488,18 +454,18 @@ void Router::Impl::loop() {
       fds.push_back(pollfd{listen_fd, POLLIN, 0});
       fd_ref.emplace_back(0, 0);
     }
-    fds.push_back(pollfd{wake_r, POLLIN, 0});
+    fds.push_back(pollfd{wake.fd(), POLLIN, 0});
     fd_ref.emplace_back(0, 0);
     for (auto& [id, d] : downs) {
       short ev = POLLIN;
-      if (d.woff < d.wbuf.size()) ev |= POLLOUT;
-      fds.push_back(pollfd{d.fd, ev, 0});
+      if (d.io.pending_write()) ev |= POLLOUT;
+      fds.push_back(pollfd{d.io.fd(), ev, 0});
       fd_ref.emplace_back(1, id);
     }
     for (auto& [id, u] : ups) {
       short ev = POLLIN;
-      if (u.woff < u.wbuf.size()) ev |= POLLOUT;
-      fds.push_back(pollfd{u.fd, ev, 0});
+      if (u.io.pending_write()) ev |= POLLOUT;
+      fds.push_back(pollfd{u.io.fd(), ev, 0});
       fd_ref.emplace_back(2, id);
     }
 
@@ -508,10 +474,8 @@ void Router::Impl::loop() {
 
     for (std::size_t i = 0; i < fds.size(); ++i) {
       if (fds[i].revents == 0) continue;
-      if (fds[i].fd == wake_r) {
-        char buf[64];
-        while (read(wake_r, buf, sizeof buf) > 0) {
-        }
+      if (fds[i].fd == wake.fd()) {
+        wake.drain();
         continue;
       }
       if (fds[i].fd == listen_fd) {
@@ -526,9 +490,7 @@ void Router::Impl::loop() {
           continue;
         }
         if (fds[i].revents & (POLLIN | POLLHUP)) read_down(id);
-        if (downs.count(id) && (fds[i].revents & POLLOUT)) {
-          if (!flush_down(downs[id])) drop_down(id);
-        }
+        if (downs.count(id) && (fds[i].revents & POLLOUT)) flush_down(id);
       } else if (kind == 2) {
         if (!ups.count(id)) continue;
         if (fds[i].revents & (POLLERR | POLLNVAL)) {
@@ -536,17 +498,16 @@ void Router::Impl::loop() {
           continue;
         }
         if (fds[i].revents & (POLLIN | POLLHUP)) read_up(id);
-        if (ups.count(id) && (fds[i].revents & POLLOUT)) {
-          if (!flush_up(ups[id])) fail_up(id);
-        }
       }
     }
     process_failed_ups();
 
-    // Kick pending upstream writes that never saw a POLLOUT (a frame
-    // queued this cycle on a fresh conn is flushed here, not next cycle).
+    // Flush every upstream with pending bytes: POLLOUT-ready ones, and
+    // frames queued this cycle on a fresh conn (not left to next cycle).
     for (auto& [id, u] : ups)
-      if (u.woff < u.wbuf.size() && !flush_up(u)) fail_up(id);
+      if (u.io.pending_write() &&
+          u.io.flush() == net::FramedConn::Flush::Gone)
+        fail_up(id);
     process_failed_ups();
 
     const double t = now();
@@ -563,7 +524,7 @@ void Router::Impl::loop() {
     // Close flushed-poisoned and idle downstream conns.
     std::vector<std::uint64_t> doomed;
     for (auto& [id, d] : downs) {
-      const bool flushed = d.woff >= d.wbuf.size();
+      const bool flushed = !d.io.pending_write();
       if (d.close_after_flush && flushed) doomed.push_back(id);
       else if (!draining && opts.idle_timeout_s > 0 && d.active_x == 0 &&
                d.pending.empty() && flushed &&
@@ -575,9 +536,7 @@ void Router::Impl::loop() {
     snapshot_views();
   }
 
-  for (auto& [id, d] : downs) close(d.fd);
-  downs.clear();
-  for (auto& [id, u] : ups) close(u.fd);
+  downs.clear();  // closes every socket
   ups.clear();
   exchanges.clear();
   if (listen_fd >= 0) {
@@ -621,7 +580,7 @@ void Router::Impl::accept_ready() {
     }
     net::set_tcp_nodelay(fd);
     Down d;
-    d.fd = fd;
+    d.io = net::FramedConn(fd);
     d.last_active = now();
     downs.emplace(next_down_id++, std::move(d));
     bump(&RouterStats::conns_accepted);
@@ -632,59 +591,30 @@ void Router::Impl::accept_ready() {
 // Downstream.
 
 void Router::Impl::read_down(std::uint64_t cid) {
-  Down& d = downs[cid];
-  std::uint8_t buf[65536];
   bool peer_gone = false;
-  for (;;) {
-    if (d.rbuf.size() > opts.max_frame_bytes + net::kHeaderBytes) break;
-    const ssize_t n = recv(d.fd, buf, sizeof buf, 0);
-    if (n > 0) {
-      d.rbuf.insert(d.rbuf.end(), buf, buf + n);
-      d.last_active = now();
-      continue;
-    }
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
-    peer_gone = true;
-    break;
-  }
-  process_down_input(cid);
-  if (peer_gone) drop_down(cid);
-}
-
-void Router::Impl::process_down_input(std::uint64_t cid) {
-  std::size_t off = 0;
+  if (downs[cid].io.read(&peer_gone) > 0) downs[cid].last_active = now();
   while (downs.count(cid)) {
     Down& d = downs[cid];
     if (d.close_after_flush) break;
     net::FrameHeader hdr;
-    const net::HeaderStatus hs =
-        net::peek_header(d.rbuf.data() + off, d.rbuf.size() - off, &hdr,
-                         opts.max_frame_bytes);
+    const std::uint8_t* frame = nullptr;
+    const net::HeaderStatus hs = d.io.next_frame(&hdr, &frame);
     if (hs == net::HeaderStatus::NeedMore) break;
     if (hs != net::HeaderStatus::Ok) {
       bump(&RouterStats::protocol_errors);
       const auto code = hs == net::HeaderStatus::TooLarge
                             ? net::ErrorCode::TooLarge
                             : net::ErrorCode::BadFrame;
-      queue_down(d, net::encode_error(
-                        net::ErrorReply{0, code, "malformed frame"}));
+      d.io.append(net::encode_error(
+          net::ErrorReply{0, code, "malformed frame"}));
       d.close_after_flush = true;
-      d.rbuf.clear();
-      off = 0;
+      d.io.discard_input();
       break;
     }
-    if (d.rbuf.size() - off - net::kHeaderBytes < hdr.payload_len) break;
     bump(&RouterStats::frames_in);
-    dispatch_down(cid, hdr.type, d.rbuf.data() + off,
-                  net::kHeaderBytes + hdr.payload_len);
-    off += net::kHeaderBytes + hdr.payload_len;
+    dispatch_down(cid, hdr.type, frame, net::kHeaderBytes + hdr.payload_len);
   }
-  if (downs.count(cid)) {
-    Down& d = downs[cid];
-    if (off > 0) d.rbuf.erase(d.rbuf.begin(), d.rbuf.begin() + off);
-    net::shrink_if_drained(d.rbuf);
-    if (!flush_down(d)) drop_down(cid);
-  }
+  if (flush_down(cid) && peer_gone) drop_down(cid);
 }
 
 void Router::Impl::dispatch_down(std::uint64_t cid, net::FrameType type,
@@ -699,11 +629,11 @@ void Router::Impl::dispatch_down(std::uint64_t cid, net::FrameType type,
       return;
     case net::FrameType::Ping: {
       if (auto nonce = net::decode_ping(payload, len)) {
-        queue_down(d, net::encode_pong(*nonce));
+        d.io.append(net::encode_pong(*nonce));
       } else {
         bump(&RouterStats::protocol_errors);
-        queue_down(d, net::encode_error(net::ErrorReply{
-                          0, net::ErrorCode::BadFrame, "bad ping"}));
+        d.io.append(net::encode_error(
+            net::ErrorReply{0, net::ErrorCode::BadFrame, "bad ping"}));
       }
       return;
     }
@@ -724,16 +654,14 @@ void Router::Impl::dispatch_down(std::uint64_t cid, net::FrameType type,
         broadcast_shutdown();
         stop_requested.store(true);
       } else {
-        queue_down(d, net::encode_error(net::ErrorReply{
-                          0, net::ErrorCode::BadRequest,
-                          "shutdown not allowed"}));
+        d.io.append(net::encode_error(net::ErrorReply{
+            0, net::ErrorCode::BadRequest, "shutdown not allowed"}));
       }
       return;
     default:
       bump(&RouterStats::protocol_errors);
-      queue_down(d, net::encode_error(net::ErrorReply{
-                        0, net::ErrorCode::BadFrame,
-                        "unexpected frame type"}));
+      d.io.append(net::encode_error(net::ErrorReply{
+          0, net::ErrorCode::BadFrame, "unexpected frame type"}));
       d.close_after_flush = true;
       return;
   }
@@ -746,14 +674,13 @@ void Router::Impl::handle_submit(std::uint64_t cid, const std::uint8_t* frame,
                                 frame_len - net::kHeaderBytes);
   if (!req) {
     bump(&RouterStats::protocol_errors);
-    queue_down(d, net::encode_error(net::ErrorReply{
-                      0, net::ErrorCode::BadRequest, "malformed submit"}));
+    d.io.append(net::encode_error(
+        net::ErrorReply{0, net::ErrorCode::BadRequest, "malformed submit"}));
     return;
   }
   if (stop_requested.load()) {
-    queue_down(d, net::encode_error(net::ErrorReply{
-                      req->request_id, net::ErrorCode::ShuttingDown,
-                      "router draining"}));
+    d.io.append(net::encode_error(net::ErrorReply{
+        req->request_id, net::ErrorCode::ShuttingDown, "router draining"}));
     return;
   }
   // The router hop gets its own span under the client's trace id, so a
@@ -798,9 +725,9 @@ void Router::Impl::handle_submit(std::uint64_t cid, const std::uint8_t* frame,
   if (d.active_x != 0) {
     if (d.pending.size() >= kMaxPendingSubmits) {
       bump(&RouterStats::protocol_errors);
-      queue_down(d, net::encode_error(net::ErrorReply{
-                        req->request_id, net::ErrorCode::BadRequest,
-                        "submit pipeline too deep"}));
+      d.io.append(net::encode_error(
+          net::ErrorReply{req->request_id, net::ErrorCode::BadRequest,
+                          "submit pipeline too deep"}));
       d.close_after_flush = true;
       return;
     }
@@ -889,11 +816,7 @@ void Router::Impl::handle_scrape(std::uint64_t cid, bool dump) {
     }
     Up& u = ups[uid];
     u.fanout = fid;
-    if (u.woff > 0) {
-      u.wbuf.erase(u.wbuf.begin(), u.wbuf.begin() + u.woff);
-      u.woff = 0;
-    }
-    u.wbuf.insert(u.wbuf.end(), frame.begin(), frame.end());
+    u.io.append(frame);
     f.pending.emplace(uid, static_cast<std::uint32_t>(i));
   }
   const bool done = f.pending.empty();
@@ -908,7 +831,6 @@ void Router::Impl::finalize_fanout(std::uint64_t fid) {
   fanouts.erase(it);
   auto dit = downs.find(f.down);
   if (dit == downs.end()) return;  // requester left; nothing to deliver
-  Down& d = dit->second;
 
   if (f.dump) {
     // One JSON document: the router's own flight recorder first, then
@@ -922,8 +844,8 @@ void Router::Impl::finalize_fanout(std::uint64_t fid) {
       out += json;
     }
     out += "]}";
-    queue_down(d, net::encode_dump_reply(out));
-    if (!flush_down(d)) drop_down(f.down);
+    dit->second.io.append(net::encode_dump_reply(out));
+    flush_down(f.down);
     return;
   }
 
@@ -937,8 +859,8 @@ void Router::Impl::finalize_fanout(std::uint64_t fid) {
     if (name.size() > net::kMaxStatsNameBytes) continue;
     m.emplace_back(std::move(name), v);
   }
-  queue_down(d, net::encode_stats_reply(s));
-  if (!flush_down(d)) drop_down(f.down);
+  dit->second.io.append(net::encode_stats_reply(s));
+  flush_down(f.down);
 }
 
 void Router::Impl::check_fanouts(double t) {
@@ -973,47 +895,25 @@ void Router::Impl::handle_health(std::uint64_t cid) {
     h.devices.push_back(net::DeviceHealth{static_cast<std::uint32_t>(i),
                                           shards[i].in_ring,
                                           shards[i].submits, 0.0});
-  queue_down(d, net::encode_health_reply(h));
-}
-
-void Router::Impl::queue_down(Down& d, std::vector<std::uint8_t> frame) {
-  if (d.woff > 0) {
-    d.wbuf.erase(d.wbuf.begin(), d.wbuf.begin() + d.woff);
-    d.woff = 0;
-  }
-  d.wbuf.insert(d.wbuf.end(), frame.begin(), frame.end());
+  d.io.append(net::encode_health_reply(h));
 }
 
 void Router::Impl::relay_down(std::uint64_t cid, const std::uint8_t* frame,
                               std::size_t len) {
   auto it = downs.find(cid);
   if (it == downs.end()) return;
-  Down& d = it->second;
-  if (d.woff > 0) {
-    d.wbuf.erase(d.wbuf.begin(), d.wbuf.begin() + d.woff);
-    d.woff = 0;
-  }
-  d.wbuf.insert(d.wbuf.end(), frame, frame + len);
-  if (!flush_down(d)) drop_down(cid);
+  it->second.io.append(frame, len);
+  flush_down(cid);
 }
 
-bool Router::Impl::flush_down(Down& d) {
-  while (d.woff < d.wbuf.size()) {
-    const ssize_t n = send(d.fd, d.wbuf.data() + d.woff,
-                           d.wbuf.size() - d.woff, MSG_NOSIGNAL);
-    if (n > 0) {
-      d.woff += static_cast<std::size_t>(n);
-      continue;
-    }
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return true;
-    return false;
-  }
-  // Fully flushed: drop the sent bytes so an idle client connection does
-  // not pin the capacity of its largest-ever result.
-  d.wbuf.clear();
-  d.woff = 0;
-  net::shrink_if_drained(d.wbuf);
-  return true;
+/// Flush a client conn, dropping it when the peer is gone. False if it
+/// was dropped (or already gone).
+bool Router::Impl::flush_down(std::uint64_t cid) {
+  auto it = downs.find(cid);
+  if (it == downs.end()) return false;
+  if (it->second.io.flush() != net::FramedConn::Flush::Gone) return true;
+  drop_down(cid);
+  return false;
 }
 
 void Router::Impl::drop_down(std::uint64_t cid) {
@@ -1029,8 +929,7 @@ void Router::Impl::drop_down(std::uint64_t cid) {
       xit->second.discard = true;
     }
   }
-  close(it->second.fd);
-  downs.erase(it);
+  downs.erase(it);  // closes the socket
 }
 
 // ---------------------------------------------------------------------
@@ -1114,15 +1013,8 @@ void Router::Impl::cancel_leg(std::uint64_t xid) {
   x.discard = true;
   if (x.up != 0) {
     auto uit = ups.find(x.up);
-    if (uit != ups.end()) {
-      Up& u = uit->second;
-      const auto frame = net::encode_cancel(x.request_id);
-      if (u.woff > 0) {
-        u.wbuf.erase(u.wbuf.begin(), u.wbuf.begin() + u.woff);
-        u.woff = 0;
-      }
-      u.wbuf.insert(u.wbuf.end(), frame.begin(), frame.end());
-    }
+    if (uit != ups.end())
+      uit->second.io.append(net::encode_cancel(x.request_id));
   }
   bump(&RouterStats::hedge_cancels);
   obs_.hedge_cancels.inc();
@@ -1237,11 +1129,7 @@ bool Router::Impl::bind_to_shard(std::uint64_t xid, std::uint32_t shard) {
   x.up = uid;
   Up& u = ups[uid];
   u.x = xid;
-  if (u.woff > 0) {
-    u.wbuf.erase(u.wbuf.begin(), u.wbuf.begin() + u.woff);
-    u.woff = 0;
-  }
-  u.wbuf.insert(u.wbuf.end(), x.frame.begin(), x.frame.end());
+  u.io.append(x.frame);
   shards[shard].submits += 1;
   bump(&RouterStats::submits_routed);
   obs_.routed.inc();
@@ -1262,7 +1150,7 @@ std::uint64_t Router::Impl::take_upstream(std::uint32_t shard) {
   if (fd < 0) return 0;
   net::set_nonblocking(fd);
   Up u;
-  u.fd = fd;
+  u.io = net::FramedConn(fd);
   u.shard = shard;
   const std::uint64_t uid = next_up_id++;
   ups.emplace(uid, std::move(u));
@@ -1286,62 +1174,32 @@ void Router::Impl::release_upstream(std::uint64_t uid) {
 }
 
 void Router::Impl::read_up(std::uint64_t uid) {
-  Up& u = ups[uid];
-  std::uint8_t buf[65536];
   bool peer_gone = false;
-  for (;;) {
-    if (u.rbuf.size() > opts.max_frame_bytes + net::kHeaderBytes) break;
-    const ssize_t n = recv(u.fd, buf, sizeof buf, 0);
-    if (n > 0) {
-      u.rbuf.insert(u.rbuf.end(), buf, buf + n);
-      continue;
-    }
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
-    peer_gone = true;
-    break;
-  }
-  process_up_input(uid);
-  if (peer_gone && ups.count(uid)) fail_up(uid);
-}
-
-void Router::Impl::process_up_input(std::uint64_t uid) {
-  std::size_t off = 0;
-  bool broken = false;
+  ups[uid].io.read(&peer_gone);
   while (ups.count(uid)) {
-    Up& u = ups[uid];
     net::FrameHeader hdr;
-    const net::HeaderStatus hs =
-        net::peek_header(u.rbuf.data() + off, u.rbuf.size() - off, &hdr,
-                         opts.max_frame_bytes);
+    const std::uint8_t* frame = nullptr;
+    const net::HeaderStatus hs = ups[uid].io.next_frame(&hdr, &frame);
     if (hs == net::HeaderStatus::NeedMore) break;
-    if (hs != net::HeaderStatus::Ok) {
-      broken = true;  // shard speaking garbage: treat as a forward error
-      break;
+    // A bad header (shard speaking garbage) or a frame the exchange
+    // cannot take desyncs the conn: treat it as a forward error.
+    if (hs != net::HeaderStatus::Ok || !handle_up_frame(uid, hdr, frame)) {
+      fail_up(uid);
+      return;
     }
-    if (u.rbuf.size() - off - net::kHeaderBytes < hdr.payload_len) break;
-    const std::size_t frame_len = net::kHeaderBytes + hdr.payload_len;
-    if (!handle_up_frame(uid, hdr, u.rbuf.data() + off, frame_len)) {
-      broken = true;
-      break;
-    }
-    off += frame_len;
   }
-  if (!ups.count(uid)) return;
-  Up& u = ups[uid];
-  if (off > 0) u.rbuf.erase(u.rbuf.begin(), u.rbuf.begin() + off);
-  net::shrink_if_drained(u.rbuf);
-  if (broken) fail_up(uid);
+  if (peer_gone && ups.count(uid)) fail_up(uid);
 }
 
 /// One complete frame from a shard. Returns false when the conn is
 /// desynced beyond recovery (caller fails it).
 bool Router::Impl::handle_up_frame(std::uint64_t uid,
                                    const net::FrameHeader& hdr,
-                                   const std::uint8_t* frame,
-                                   std::size_t frame_len) {
+                                   const std::uint8_t* frame) {
   Up& u = ups[uid];
   const std::uint8_t* payload = frame + net::kHeaderBytes;
-  const std::size_t len = frame_len - net::kHeaderBytes;
+  const std::size_t len = hdr.payload_len;
+  const std::size_t frame_len = net::kHeaderBytes + len;
 
   if (u.fanout != 0) {
     if (hdr.type == net::FrameType::Pong) return true;  // stale pong; wait on
@@ -1516,25 +1374,6 @@ void Router::Impl::finish_exchange(std::uint64_t xid) {
   }
 }
 
-bool Router::Impl::flush_up(Up& u) {
-  while (u.woff < u.wbuf.size()) {
-    const ssize_t n = send(u.fd, u.wbuf.data() + u.woff,
-                           u.wbuf.size() - u.woff, MSG_NOSIGNAL);
-    if (n > 0) {
-      u.woff += static_cast<std::size_t>(n);
-      continue;
-    }
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return true;
-    return false;
-  }
-  // Fully flushed: a pooled upstream conn must not pin the capacity of
-  // its largest-ever inline submit.
-  u.wbuf.clear();
-  u.woff = 0;
-  net::shrink_if_drained(u.wbuf);
-  return true;
-}
-
 void Router::Impl::close_up(std::uint64_t uid) {
   auto it = ups.find(uid);
   if (it == ups.end()) return;
@@ -1545,8 +1384,7 @@ void Router::Impl::close_up(std::uint64_t uid) {
       break;
     }
   if (s.probing_uid == uid) s.probing_uid = 0;
-  close(it->second.fd);
-  ups.erase(it);
+  ups.erase(it);  // closes the socket
 }
 
 void Router::Impl::process_failed_ups() {
@@ -1739,12 +1577,7 @@ void Router::Impl::maybe_probe(double t) {
     u.probe = true;
     u.probe_start = t;
     s.probing_uid = uid;
-    const auto frame = net::encode_health_check();
-    if (u.woff > 0) {
-      u.wbuf.erase(u.wbuf.begin(), u.wbuf.begin() + u.woff);
-      u.woff = 0;
-    }
-    u.wbuf.insert(u.wbuf.end(), frame.begin(), frame.end());
+    u.io.append(net::encode_health_check());
   }
   process_failed_ups();
 }

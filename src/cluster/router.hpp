@@ -78,7 +78,6 @@ struct RouterOptions {
   std::uint16_t port = 0;  ///< 0 = ephemeral (query with Router::port())
   std::vector<ShardEndpoint> shards;
   int max_connections = 128;
-  std::size_t max_frame_bytes = std::size_t(1) << 26;
   int vnodes = 64;            ///< ring points per shard
   double probe_interval_s = 0.25;  ///< HealthCheck cadence per shard
   double probe_timeout_s = 1.0;    ///< unanswered probe = failure

@@ -9,7 +9,7 @@
 //        4     1  version     kVersion
 //        5     1  type        FrameType
 //        6     2  flags       reserved, must be 0
-//        8     4  payload_len ≤ max_frame_bytes
+//        8     4  payload_len ≤ kMaxFrameBytes
 //
 // Requests carry a matrix spec — either a named generator + seed (the
 // server materializes and memoizes the matrix) or an inline column-major
@@ -23,7 +23,7 @@
 // buffer, dimension fields are validated against hard caps *and* against
 // the actual remaining payload before anything is allocated, and any
 // malformed field poisons the whole decode. Malformed input can
-// therefore cost at most max_frame_bytes of buffering, never an
+// therefore cost at most kMaxFrameBytes of buffering, never an
 // attacker-chosen allocation.
 #pragma once
 

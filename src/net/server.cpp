@@ -1,6 +1,5 @@
 #include "net/server.hpp"
 
-#include <netinet/in.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -10,7 +9,6 @@
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <deque>
 #include <map>
 #include <mutex>
@@ -261,7 +259,7 @@ struct Server::Impl {
   ServerOptions opts;
 
   int listen_fd = -1;
-  int wake_r = -1, wake_w = -1;
+  WakePipe wake;
   std::uint16_t bound_port = 0;
   std::thread thread;
   std::atomic<bool> started{false};
@@ -285,10 +283,7 @@ struct Server::Impl {
   } obs_;
 
   struct Conn {
-    int fd = -1;
-    std::vector<std::uint8_t> rbuf;
-    std::vector<std::uint8_t> wbuf;
-    std::size_t woff = 0;  ///< flushed prefix of wbuf
+    FramedConn io;
     double last_active = 0;
     bool close_after_flush = false;
     std::uint64_t inflight = 0;
@@ -365,13 +360,11 @@ struct Server::Impl {
     stats.*field += by;
   }
 
-  bool bind_listen();
   void loop();
   void accept_ready();
   void read_ready(std::uint64_t cid);
   bool flush(Conn& c);
   void queue_frame(Conn& c, std::vector<std::uint8_t> frame);
-  void process_input(std::uint64_t cid);
   void dispatch(std::uint64_t cid, FrameType type, const std::uint8_t* payload,
                 std::size_t len);
   void handle_submit(std::uint64_t cid, const std::uint8_t* payload,
@@ -412,16 +405,18 @@ ServerStats Server::stats() const {
 
 bool Server::start() {
   if (impl_->started.load()) return true;
-  if (!impl_->bind_listen()) return false;
-  int pipefd[2];
-  if (pipe(pipefd) != 0) {
+  std::string err;
+  impl_->listen_fd = listen_tcp(impl_->opts.bind_addr, impl_->opts.port,
+                                /*backlog=*/64, &impl_->bound_port, &err);
+  if (impl_->listen_fd < 0) {
+    std::fprintf(stderr, "net: %s\n", err.c_str());
+    return false;
+  }
+  if (!impl_->wake.open()) {
     close(impl_->listen_fd);
     impl_->listen_fd = -1;
     return false;
   }
-  impl_->wake_r = pipefd[0];
-  impl_->wake_w = pipefd[1];
-  set_nonblocking(impl_->wake_r);
   impl_->started.store(true);
   impl_->loop_alive.store(true);
   impl_->thread = std::thread([this] { impl_->loop(); });
@@ -431,46 +426,17 @@ bool Server::start() {
 void Server::stop() {
   if (!impl_->started.load()) return;
   impl_->stop_requested.store(true);
-  {
-    // Serialized with the post-join close in wait(): never write to a
-    // wake fd another control thread may be closing.
-    std::lock_guard<std::mutex> lk(impl_->join_mu);
-    if (impl_->wake_w >= 0) {
-      const char b = 1;
-      ssize_t ignored = write(impl_->wake_w, &b, 1);
-      (void)ignored;
-    }
-  }
+  impl_->wake.notify();
   wait();
 }
 
 void Server::wait() {
   std::lock_guard<std::mutex> lk(impl_->join_mu);
   if (impl_->thread.joinable()) impl_->thread.join();
-  // The loop is gone; retire the wake pipe under the same lock stop()
-  // uses for its wake write.
-  if (impl_->wake_r >= 0) {
-    close(impl_->wake_r);
-    impl_->wake_r = -1;
-  }
-  if (impl_->wake_w >= 0) {
-    close(impl_->wake_w);
-    impl_->wake_w = -1;
-  }
+  impl_->wake.close();  // the loop is gone
 }
 
 // ---------------------------------------------------------------------
-
-bool Server::Impl::bind_listen() {
-  std::string err;
-  listen_fd = listen_tcp(opts.bind_addr, opts.port, /*backlog=*/64,
-                         &bound_port, &err);
-  if (listen_fd < 0) {
-    std::fprintf(stderr, "net: %s\n", err.c_str());
-    return false;
-  }
-  return true;
-}
 
 void Server::Impl::loop() {
   bool draining = false;
@@ -487,7 +453,7 @@ void Server::Impl::loop() {
     if (draining) {
       bool pending_writes = false;
       for (const auto& [id, c] : conns)
-        if (c.woff < c.wbuf.size()) pending_writes = true;
+        if (c.io.pending_write()) pending_writes = true;
       if ((inflight.empty() && !pending_writes) ||
           now() - drain_start > opts.drain_timeout_s)
         break;
@@ -499,12 +465,12 @@ void Server::Impl::loop() {
       fds.push_back(pollfd{listen_fd, POLLIN, 0});
       fd_conn.push_back(0);
     }
-    fds.push_back(pollfd{wake_r, POLLIN, 0});
+    fds.push_back(pollfd{wake.fd(), POLLIN, 0});
     fd_conn.push_back(0);
     for (auto& [id, c] : conns) {
       short ev = POLLIN;
-      if (c.woff < c.wbuf.size()) ev |= POLLOUT;
-      fds.push_back(pollfd{c.fd, ev, 0});
+      if (c.io.pending_write()) ev |= POLLOUT;
+      fds.push_back(pollfd{c.io.fd(), ev, 0});
       fd_conn.push_back(id);
     }
 
@@ -514,10 +480,8 @@ void Server::Impl::loop() {
 
     for (std::size_t i = 0; i < fds.size(); ++i) {
       if (fds[i].revents == 0) continue;
-      if (fds[i].fd == wake_r) {
-        char buf[64];
-        while (read(wake_r, buf, sizeof buf) > 0) {
-        }
+      if (fds[i].fd == wake.fd()) {
+        wake.drain();
       } else if (fds[i].fd == listen_fd) {
         accept_ready();
       } else {
@@ -542,7 +506,7 @@ void Server::Impl::loop() {
     std::vector<std::uint64_t> doomed;
     const double t = now();
     for (auto& [id, c] : conns) {
-      const bool flushed = c.woff >= c.wbuf.size();
+      const bool flushed = !c.io.pending_write();
       if (c.close_after_flush && flushed) doomed.push_back(id);
       else if (!draining && opts.idle_timeout_s > 0 && c.inflight == 0 &&
                flushed && t - c.last_active > opts.idle_timeout_s) {
@@ -554,19 +518,15 @@ void Server::Impl::loop() {
   }
 
   // Hard close of whatever remains (drain finished or timed out).
-  for (auto& [id, c] : conns) {
-    if (c.inflight > 0)
-      bump(&ServerStats::results_dropped, c.inflight);
-    close(c.fd);
-  }
+  for (auto& [id, c] : conns)
+    if (c.inflight > 0) bump(&ServerStats::results_dropped, c.inflight);
   conns.clear();
   inflight.clear();
   if (listen_fd >= 0) {
     close(listen_fd);
     listen_fd = -1;
   }
-  // The wake pipe stays open: stop() may be writing a wake byte from
-  // another thread right now. It is closed after join (Server::wait).
+  // The wake pipe stays open until Server::wait() has joined this thread.
   loop_alive.store(false);
 }
 
@@ -586,7 +546,7 @@ void Server::Impl::accept_ready() {
     }
     set_tcp_nodelay(fd);
     Conn c;
-    c.fd = fd;
+    c.io = FramedConn(fd);
     c.last_active = now();
     conns.emplace(next_conn_id++, std::move(c));
     bump(&ServerStats::conns_accepted);
@@ -595,38 +555,18 @@ void Server::Impl::accept_ready() {
 }
 
 void Server::Impl::read_ready(std::uint64_t cid) {
-  Conn& c = conns[cid];
-  std::uint8_t buf[65536];
   bool peer_gone = false;
-  for (;;) {
-    // Backpressure: stop reading while more than one max-size frame is
-    // already buffered; the parser below will drain it first.
-    if (c.rbuf.size() > opts.max_frame_bytes + kHeaderBytes) break;
-    const ssize_t n = recv(c.fd, buf, sizeof buf, 0);
-    if (n > 0) {
-      c.rbuf.insert(c.rbuf.end(), buf, buf + n);
-      c.last_active = now();
-      bump(&ServerStats::bytes_in, static_cast<std::uint64_t>(n));
-      obs_.bytes_in.add(double(n));
-      continue;
-    }
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
-    peer_gone = true;  // EOF or hard error, but parse what already arrived:
-    break;             // a frame followed by an immediate close (e.g. a
-  }                    // fire-and-forget Shutdown) must still take effect.
-  process_input(cid);
-  if (peer_gone) drop_conn(cid);
-}
-
-void Server::Impl::process_input(std::uint64_t cid) {
-  std::size_t off = 0;
+  if (const std::size_t n = conns[cid].io.read(&peer_gone)) {
+    conns[cid].last_active = now();
+    bump(&ServerStats::bytes_in, n);
+    obs_.bytes_in.add(double(n));
+  }
   while (conns.count(cid)) {
     Conn& c = conns[cid];
     if (c.close_after_flush) break;  // poisoned: ignore the rest
     FrameHeader hdr;
-    const HeaderStatus hs = peek_header(c.rbuf.data() + off,
-                                        c.rbuf.size() - off, &hdr,
-                                        opts.max_frame_bytes);
+    const std::uint8_t* frame = nullptr;
+    const HeaderStatus hs = c.io.next_frame(&hdr, &frame);
     if (hs == HeaderStatus::NeedMore) break;
     if (hs != HeaderStatus::Ok) {
       bump(&ServerStats::protocol_errors);
@@ -635,11 +575,9 @@ void Server::Impl::process_input(std::uint64_t cid) {
                                                      : ErrorCode::BadFrame;
       queue_frame(c, encode_error(ErrorReply{0, code, "malformed frame"}));
       c.close_after_flush = true;
-      c.rbuf.clear();
-      off = 0;
+      c.io.discard_input();
       break;
     }
-    if (c.rbuf.size() - off - kHeaderBytes < hdr.payload_len) break;
     // Injected connection reset: the peer's frame arrived intact but the
     // connection dies before dispatch (mid-request RST). Undelivered
     // results for this conn are dropped at completion time as usual.
@@ -648,16 +586,9 @@ void Server::Impl::process_input(std::uint64_t cid) {
       return;
     }
     bump(&ServerStats::frames_in);
-    dispatch(cid, hdr.type, c.rbuf.data() + off + kHeaderBytes,
-             hdr.payload_len);
-    off += kHeaderBytes + hdr.payload_len;
+    dispatch(cid, hdr.type, frame + kHeaderBytes, hdr.payload_len);
   }
-  if (conns.count(cid)) {
-    Conn& c = conns[cid];
-    if (off > 0) c.rbuf.erase(c.rbuf.begin(), c.rbuf.begin() + off);
-    shrink_if_drained(c.rbuf);
-    if (!flush(c)) drop_conn(cid);
-  }
+  if (conns.count(cid) && (!flush(conns[cid]) || peer_gone)) drop_conn(cid);
 }
 
 void Server::Impl::dispatch(std::uint64_t cid, FrameType type,
@@ -1242,13 +1173,6 @@ void Server::Impl::send_result(Conn& c, std::uint64_t request_id,
 }
 
 void Server::Impl::queue_frame(Conn& c, std::vector<std::uint8_t> frame) {
-  // Compact the flushed prefix before appending so wbuf stays bounded by
-  // what is actually pending.
-  if (c.woff > 0) {
-    c.wbuf.erase(c.wbuf.begin(), c.wbuf.begin() + c.woff);
-    c.woff = 0;
-    shrink_if_drained(c.wbuf);
-  }
   if (opts.injector) {
     // Corrupted frame: flip a magic byte so the client *deterministically*
     // detects the damage (flipping payload bytes could silently corrupt
@@ -1266,46 +1190,31 @@ void Server::Impl::queue_frame(Conn& c, std::vector<std::uint8_t> frame) {
       c.close_after_flush = true;
     }
   }
-  c.wbuf.insert(c.wbuf.end(), frame.begin(), frame.end());
+  c.io.append(frame);
 }
 
 bool Server::Impl::flush(Conn& c) {
   // Injected write delay: the socket stalls before draining (slow or
   // congested peer path). One decision per flush call, not per byte.
-  if (opts.injector && c.woff < c.wbuf.size() &&
+  if (opts.injector && c.io.pending_write() &&
       opts.injector->fire(fault::FaultKind::WriteDelay)) {
     std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(
         opts.injector->config().write_delay_ms));
   }
-  while (c.woff < c.wbuf.size()) {
-    const ssize_t n = send(c.fd, c.wbuf.data() + c.woff,
-                           c.wbuf.size() - c.woff, MSG_NOSIGNAL);
-    if (n > 0) {
-      c.woff += static_cast<std::size_t>(n);
-      bump(&ServerStats::bytes_out, static_cast<std::uint64_t>(n));
-      obs_.bytes_out.add(double(n));
-      continue;
-    }
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return true;
-    return false;  // peer gone
+  std::size_t sent = 0;
+  const FramedConn::Flush st = c.io.flush(&sent);
+  if (sent > 0) {
+    bump(&ServerStats::bytes_out, sent);
+    obs_.bytes_out.add(double(sent));
   }
-  // Fully flushed: drop the pending bytes now so an idle connection does
-  // not pin the capacity of its largest-ever result between requests.
-  c.wbuf.clear();
-  c.woff = 0;
-  shrink_if_drained(c.wbuf);
-  return true;
+  return st != FramedConn::Flush::Gone;
 }
 
 void Server::Impl::drop_conn(std::uint64_t cid) {
-  auto it = conns.find(cid);
-  if (it == conns.end()) return;
-  if (it->second.inflight > 0)
-    bump(&ServerStats::results_dropped, 0);  // counted at completion time
-  close(it->second.fd);
-  conns.erase(it);
-  // In-flight jobs for this connection stay in `inflight`; their results
-  // are discarded (and counted) when they complete.
+  // Erasing closes the socket. In-flight jobs for this connection stay
+  // in `inflight`; their results are discarded (and counted) when they
+  // complete.
+  conns.erase(cid);
 }
 
 }  // namespace randla::net

@@ -32,7 +32,6 @@ struct ServerOptions {
   std::uint16_t port = 0;  ///< 0 = ephemeral (query with Server::port())
   int max_connections = 64;
   double idle_timeout_s = 60;  ///< close quiet connections; ≤0 disables
-  std::size_t max_frame_bytes = 1u << 26;
   bool allow_remote_shutdown = false;  ///< honor Shutdown frames
   double drain_timeout_s = 30;  ///< graceful-stop budget before hard close
   std::size_t matrix_cache_capacity = 32;  ///< memoized generator matrices

@@ -1,21 +1,27 @@
-// socket_util.hpp — the nonblocking-socket / connect / sockaddr setup
-// and connection-buffer hygiene shared by net::Server, net::Client, and
-// cluster::Router.
+// socket_util.hpp — the socket plumbing shared by net::Server,
+// net::Client and cluster::Router.
 //
 // Every TCP endpoint in the tree needs the same moves: parse a
 // dotted-quad into a sockaddr_in, bind+listen a nonblocking listener,
 // connect a TCP_NODELAY client socket, flip O_NONBLOCK / SO_RCVTIMEO on
-// an fd, and give a drained connection buffer's memory back. They used
-// to be copy-pasted per call site; this header is the single
-// implementation. All helpers are errno-preserving and report
-// failure detail through an optional out-string instead of stderr so
-// callers decide how loud to be.
+// an fd. Both poll loops (the server's connections and the router's
+// downstream and upstream sides) also need one framed nonblocking
+// connection — read until EAGAIN, parse frames in place, append,
+// flush, give a drained buffer's memory back — and one wake pipe that
+// control threads use to interrupt poll(2). FramedConn and WakePipe are
+// those two, written once. The free helpers are errno-preserving and
+// report failure detail through an optional out-string instead of
+// stderr so callers decide how loud to be.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <mutex>
 #include <string>
+#include <utility>
 #include <vector>
+
+#include "net/protocol.hpp"
 
 struct sockaddr_in;
 
@@ -49,16 +55,82 @@ int listen_tcp(const std::string& bind_addr, std::uint16_t port, int backlog,
 /// blocking; callers that poll it call set_nonblocking() themselves.
 int connect_tcp(const std::string& host, std::uint16_t port, std::string* err);
 
-/// Per-connection buffers grow by doubling to the largest frame ever seen
-/// on that conn; a single big upload or result would otherwise pin its
-/// capacity for the connection's lifetime. Once a buffer fully drains,
-/// capacity above this threshold goes back to the allocator.
+/// Connection buffers grow by doubling to the largest frame ever seen on
+/// that connection; a single big upload or result would otherwise pin
+/// its capacity for the connection's lifetime. Once a buffer fully
+/// drains, capacity above this threshold goes back to the allocator.
 inline constexpr std::size_t kBufShrinkBytes = 64 * 1024;
 
-/// Release `buf`'s capacity when it is empty and holds more than
-/// kBufShrinkBytes; a no-op otherwise.
-inline void shrink_if_drained(std::vector<std::uint8_t>& buf) {
-  if (buf.empty() && buf.capacity() > kBufShrinkBytes) buf.shrink_to_fit();
-}
+/// One nonblocking, length-prefixed connection of a poll loop (DESIGN.md
+/// §8): the fd, the read buffer with its parsed prefix, and the write
+/// buffer with its flushed prefix. Owns the fd (closed on destruction).
+/// Fault injection, byte accounting and what a frame means stay with
+/// the owner; this class only moves bytes and finds frame boundaries.
+class FramedConn {
+ public:
+  enum class Flush { Ok, Again, Gone };  ///< drained / EAGAIN / peer gone
+
+  FramedConn() = default;
+  explicit FramedConn(int fd) : fd_(fd) {}
+  FramedConn(FramedConn&& o) noexcept { *this = std::move(o); }
+  FramedConn& operator=(FramedConn&& o) noexcept;
+  ~FramedConn();
+
+  int fd() const { return fd_; }
+
+  /// recv until EAGAIN, EOF/error (sets `*eof`), or more than one
+  /// max-size frame buffered (backpressure: the parse loop drains it
+  /// first). Returns the bytes read.
+  std::size_t read(bool* eof);
+
+  /// The next complete frame in the read buffer. On Ok, `*frame` points
+  /// at its header (valid until the next read() or NeedMore) and the
+  /// frame counts as consumed. NeedMore ends a burst: the consumed
+  /// prefix is compacted away once, here. A bad header is reported
+  /// without consuming anything.
+  HeaderStatus next_frame(FrameHeader* hdr, const std::uint8_t** frame);
+
+  /// Forget everything buffered for reading (a poisoned connection).
+  void discard_input();
+
+  /// Queue bytes for flush(), compacting the flushed prefix first.
+  void append(const std::uint8_t* data, std::size_t len);
+  void append(const std::vector<std::uint8_t>& frame) {
+    append(frame.data(), frame.size());
+  }
+
+  /// send until drained (Ok: the buffer is cleared and shrunk), EAGAIN
+  /// (Again) or a dead peer (Gone). `*sent` receives the bytes sent.
+  Flush flush(std::size_t* sent = nullptr);
+
+  bool pending_write() const { return woff_ < wbuf_.size(); }
+
+  /// Capacity held by both buffers, for checking the shrink-on-drain rule.
+  std::size_t capacity() const { return rbuf_.capacity() + wbuf_.capacity(); }
+
+ private:
+  int fd_ = -1;
+  std::vector<std::uint8_t> rbuf_, wbuf_;
+  std::size_t roff_ = 0;  ///< parsed prefix of rbuf_
+  std::size_t woff_ = 0;  ///< flushed prefix of wbuf_
+};
+
+/// Self-pipe that lets control threads interrupt a poll loop. notify()
+/// and close() share one mutex, so a wake byte is never written to an
+/// fd another thread is closing; close() runs after the loop joined.
+class WakePipe {
+ public:
+  ~WakePipe() { close(); }
+
+  bool open();    ///< false if pipe(2) failed
+  void notify();  ///< any thread; a no-op once closed
+  void drain();   ///< loop thread: swallow pending wake bytes
+  void close();
+  int fd() const { return r_; }  ///< read end, for poll(2)
+
+ private:
+  std::mutex mu_;
+  int r_ = -1, w_ = -1;
+};
 
 }  // namespace randla::net

@@ -928,9 +928,10 @@ void Scheduler::sample_batched(
     if (opts.k <= 0 || opts.p < 0 || opts.q < 0 || l > mn)
       continue;  // solo ladder reports the precise error
     const auto& fp = fj.a->fingerprint();
-    if (results_.get(make_result_key(fp, opts)))
+    // peek, not get: fixed_rank_pass probes (and counts) both caches.
+    if (results_.peek(make_result_key(fp, opts)))
       continue;  // solo ladder re-hits the result cache for free
-    const auto sketch = sketches_.get(make_sketch_key(fp, opts));
+    const auto sketch = sketches_.peek(make_sketch_key(fp, opts));
     if (sketch && sketch->b.rows() >= l)
       continue;  // Steps 2–3 only; there is no Step-1 to batch
 

@@ -2,12 +2,14 @@
 // consistent-hash routing front-end: transparent forwarding with
 // residual checks, per-key shard affinity, HealthCheck-driven failover
 // and readmission, peer cache fill of hot keys, Stats/Health service
-// through the router, the cluster observability plane (merged Stats
-// fan-out, stale-shard degradation, Dump postmortems, cross-process
-// trace propagation — DESIGN.md §14), and remote shutdown draining the
-// whole cluster. Plus unit tests for the bucket-exact stats merge.
+// through the router, downstream framing (malformed and trickled
+// bytes), the cluster observability plane (merged Stats fan-out,
+// stale-shard degradation, Dump postmortems, cross-process trace
+// propagation — DESIGN.md §14), and remote shutdown draining the whole
+// cluster. Plus unit tests for the bucket-exact stats merge.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <functional>
 #include <memory>
@@ -337,6 +339,112 @@ TEST(ClusterRouter, ServesStatsHealthAndPing) {
   router.stop();
   shard_a.stop();
   shard_b.stop();
+}
+
+// Downstream framing: the router twin of the server's malformed-frame
+// test. Garbage gets a typed Error, the conn closes once it flushed, and
+// the router keeps routing for everyone else.
+TEST(ClusterRouter, MalformedFrameGetsTypedErrorThenClose) {
+  runtime::Scheduler sched_a(small_sched());
+  net::Server shard_a(sched_a, shard_opts());
+  ASSERT_TRUE(shard_a.start());
+  Router router(router_over({&shard_a}));
+  ASSERT_TRUE(router.start());
+
+  net::Client client(client_for(router));
+  ASSERT_TRUE(client.connect());
+  const std::uint8_t garbage[16] = {0xDE, 0xAD, 0xBE, 0xEF, 0, 0, 0, 0,
+                                    0,    0,    0,    0,    0, 0, 0, 0};
+  ASSERT_TRUE(client.send_raw(garbage, sizeof garbage));
+  net::FrameHeader hdr;
+  std::vector<std::uint8_t> payload;
+  ASSERT_TRUE(client.read_frame(&hdr, &payload));
+  EXPECT_EQ(hdr.type, net::FrameType::Error);
+  const auto err = net::decode_error(payload.data(), payload.size());
+  ASSERT_TRUE(err.has_value());
+  EXPECT_EQ(err->code, net::ErrorCode::BadFrame);
+  EXPECT_FALSE(client.read_frame(&hdr, &payload));
+
+  net::Client fresh(client_for(router));
+  ASSERT_TRUE(fresh.connect());
+  const net::JobRequest req = lowrank_fixed_request(2, 3);
+  const net::CallResult res = fresh.call(req);
+  ASSERT_EQ(res.status, net::CallStatus::Ok) << res.detail;
+  EXPECT_LT(fixed_rank_residual(req, res), 1e-8);
+
+  router.stop();
+  shard_a.stop();
+  EXPECT_GE(router.stats().protocol_errors, 1u);
+}
+
+// A Submit trickled in one byte per write reassembles into one frame:
+// the result stream that comes back carries the same factors as an
+// ordinary call.
+TEST(ClusterRouter, SubmitWrittenOneByteAtATimeCompletes) {
+  runtime::Scheduler sched_a(small_sched()), sched_b(small_sched());
+  net::Server shard_a(sched_a, shard_opts()), shard_b(sched_b, shard_opts());
+  ASSERT_TRUE(shard_a.start());
+  ASSERT_TRUE(shard_b.start());
+  Router router(router_over({&shard_a, &shard_b}));
+  ASSERT_TRUE(router.start());
+
+  const net::JobRequest req = lowrank_fixed_request(7, 41);
+  net::Client client(client_for(router));
+  ASSERT_TRUE(client.connect());
+  const auto frame = net::encode_submit(req);
+  for (const std::uint8_t byte : frame) {
+    ASSERT_TRUE(client.send_raw(&byte, 1));
+    std::this_thread::sleep_for(std::chrono::microseconds(300));
+  }
+
+  // Reassemble the relayed ResultHeader → ResultChunk* → ResultEnd.
+  net::CallResult got;
+  net::FrameHeader hdr;
+  std::vector<std::uint8_t> payload;
+  ASSERT_TRUE(client.read_frame(&hdr, &payload));
+  ASSERT_EQ(hdr.type, net::FrameType::ResultHeader);
+  auto rh = net::decode_result_header(payload.data(), payload.size());
+  ASSERT_TRUE(rh.has_value());
+  ASSERT_EQ(rh->status, runtime::JobStatus::Done) << rh->error;
+  got.header = *rh;
+  for (const net::TensorInfo& t : rh->tensors)
+    got.tensors.emplace_back(t.rows, t.cols);
+  for (;;) {
+    ASSERT_TRUE(client.read_frame(&hdr, &payload));
+    if (hdr.type == net::FrameType::ResultEnd) break;
+    ASSERT_EQ(hdr.type, net::FrameType::ResultChunk);
+    const auto c = net::decode_result_chunk(payload.data(), payload.size());
+    ASSERT_TRUE(c.has_value());
+    ASSERT_LT(c->tensor, got.tensors.size());
+    const Matrix<double>& dst = got.tensors[c->tensor];
+    ASSERT_LE(c->offset + c->data.size(),
+              std::uint64_t(dst.rows()) * std::uint64_t(dst.cols()));
+    std::copy(c->data.begin(), c->data.end(),
+              got.tensors[c->tensor].data() + c->offset);
+  }
+  EXPECT_LT(fixed_rank_residual(req, got), 1e-8);
+
+  net::Client plain(client_for(router));
+  ASSERT_TRUE(plain.connect());
+  const net::CallResult ref = plain.call(req);
+  ASSERT_EQ(ref.status, net::CallStatus::Ok) << ref.detail;
+  EXPECT_EQ(got.header.perm, ref.header.perm);
+  ASSERT_EQ(got.tensors.size(), ref.tensors.size());
+  for (std::size_t t = 0; t < ref.tensors.size(); ++t) {
+    ASSERT_EQ(got.tensors[t].rows(), ref.tensors[t].rows());
+    ASSERT_EQ(got.tensors[t].cols(), ref.tensors[t].cols());
+    EXPECT_TRUE(std::equal(
+        got.tensors[t].data(),
+        got.tensors[t].data() + got.tensors[t].rows() * got.tensors[t].cols(),
+        ref.tensors[t].data()))
+        << "tensor " << t;
+  }
+
+  router.stop();
+  shard_a.stop();
+  shard_b.stop();
+  EXPECT_EQ(router.stats().protocol_errors, 0u);
+  EXPECT_EQ(router.stats().results_relayed, 2u);
 }
 
 // ------------------------------------------------------- stats merging

@@ -3,12 +3,18 @@
 // residual checks against locally materialized inputs), Busy
 // backpressure under deliberate overload, malformed-frame handling,
 // mid-stream disconnects, connection caps, idle timeouts, graceful
-// drain, remote shutdown, and the shared connection-buffer shrink rule.
+// drain, remote shutdown, and the shared framed connection (FramedConn).
 #include <gtest/gtest.h>
+
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <chrono>
+#include <cstring>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "la/blas3.hpp"
@@ -70,23 +76,128 @@ double fixed_rank_residual(const JobRequest& req, const CallResult& res) {
 
 }  // namespace
 
-// Connection buffers (server conns, router downstream and upstream)
-// give capacity above kBufShrinkBytes back only once fully drained.
-TEST(NetBuffers, ShrinkIfDrainedReleasesOnlyEmptyLargeBuffers) {
-  std::vector<std::uint8_t> buf(4 * kBufShrinkBytes, 0x5a);
-  shrink_if_drained(buf);  // still holds bytes: untouched
-  EXPECT_EQ(buf.size(), 4 * kBufShrinkBytes);
-  EXPECT_GE(buf.capacity(), 4 * kBufShrinkBytes);
+namespace {
 
-  buf.clear();
-  shrink_if_drained(buf);  // drained and oversized: released
-  EXPECT_LE(buf.capacity(), kBufShrinkBytes);
+/// A FramedConn on one end of a nonblocking socketpair; `peer` is the
+/// other end, written and read directly by the test.
+struct FramedPair {
+  FramedConn conn;
+  int peer = -1;
+  FramedPair() {
+    int sv[2];
+    EXPECT_EQ(socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
+    set_nonblocking(sv[0]);
+    set_nonblocking(sv[1]);
+    conn = FramedConn(sv[0]);
+    peer = sv[1];
+  }
+  ~FramedPair() { close(peer); }
 
-  std::vector<std::uint8_t> small;
-  small.reserve(kBufShrinkBytes / 2);
-  const std::size_t cap = small.capacity();
-  shrink_if_drained(small);  // drained but small: keeps its capacity
-  EXPECT_EQ(small.capacity(), cap);
+  /// Write `bytes` from the peer, reading into `conn` as the socket fills.
+  void deliver(const std::uint8_t* bytes, std::size_t n) {
+    bool eof = false;
+    for (std::size_t off = 0; off < n;) {
+      const ssize_t k = send(peer, bytes + off, n - off, 0);
+      if (k > 0) off += static_cast<std::size_t>(k);
+      conn.read(&eof);
+    }
+    conn.read(&eof);
+    EXPECT_FALSE(eof);
+  }
+};
+
+}  // namespace
+
+// FramedConn is the one connection buffer of server conns and of the
+// router's downstream and upstream sides: frames parse in place across
+// any read split, bad headers are reported without consuming bytes,
+// writes keep their order across partial flushes, and capacity above
+// kBufShrinkBytes goes back once a buffer drains.
+TEST(NetBuffers, FramedConnFramesInOrderAndShrinksWhenDrained) {
+  FrameHeader hdr;
+  const std::uint8_t* frame = nullptr;
+
+  const auto ping = encode_ping(7);
+  const auto dump = encode_dump_reply(std::string(100, 'x'));
+  std::vector<std::uint8_t> both = ping;
+  both.insert(both.end(), dump.begin(), dump.end());
+  for (std::size_t cut = 0; cut <= both.size(); ++cut) {
+    FramedPair p;
+    std::vector<std::vector<std::uint8_t>> got;
+    for (const auto& [from, to] : {std::pair{std::size_t(0), cut},
+                                  std::pair{cut, both.size()}}) {
+      p.deliver(both.data() + from, to - from);
+      HeaderStatus hs;
+      while ((hs = p.conn.next_frame(&hdr, &frame)) == HeaderStatus::Ok)
+        got.emplace_back(frame, frame + kHeaderBytes + hdr.payload_len);
+      EXPECT_EQ(hs, HeaderStatus::NeedMore);
+    }
+    ASSERT_EQ(got.size(), 2u) << "split at byte " << cut;
+    EXPECT_EQ(got[0], ping) << "split at byte " << cut;
+    EXPECT_EQ(got[1], dump) << "split at byte " << cut;
+  }
+
+  // A bad header is reported, and reported again: nothing was consumed,
+  // so the valid Ping queued behind it never surfaces.
+  auto too_large = encode_ping(1);
+  const auto over = static_cast<std::uint32_t>(kMaxFrameBytes + 1);
+  std::memcpy(too_large.data() + 8, &over, sizeof over);
+  auto bad_magic = encode_ping(1);
+  bad_magic[0] ^= 0xFF;
+  for (const auto& [bytes, want] :
+       {std::pair{too_large, HeaderStatus::TooLarge},
+        std::pair{bad_magic, HeaderStatus::BadMagic}}) {
+    FramedPair p;
+    p.deliver(bytes.data(), bytes.size());
+    p.deliver(ping.data(), ping.size());
+    EXPECT_EQ(p.conn.next_frame(&hdr, &frame), want);
+    EXPECT_EQ(p.conn.next_frame(&hdr, &frame), want);
+  }
+
+  {
+    // Partial flush, then append: the peer reads both payloads in order.
+    FramedPair p;
+    const int sndbuf = 4096;
+    setsockopt(p.conn.fd(), SOL_SOCKET, SO_SNDBUF, &sndbuf, sizeof sndbuf);
+    std::vector<std::uint8_t> first(8 * kBufShrinkBytes), second(1000);
+    for (std::size_t i = 0; i < first.size(); ++i) first[i] = i * 7 % 251;
+    for (std::size_t i = 0; i < second.size(); ++i) second[i] = i * 13 % 241;
+    p.conn.append(first);
+    std::size_t sent = 0;
+    ASSERT_EQ(p.conn.flush(&sent), FramedConn::Flush::Again);
+    EXPECT_GT(sent, 0u);
+    EXPECT_LT(sent, first.size());
+    p.conn.append(second);
+    std::vector<std::uint8_t> want = first, seen;
+    want.insert(want.end(), second.begin(), second.end());
+    std::uint8_t buf[65536];
+    while (seen.size() < want.size()) {
+      ASSERT_NE(p.conn.flush(), FramedConn::Flush::Gone);
+      const ssize_t k = recv(p.peer, buf, sizeof buf, 0);
+      if (k > 0) seen.insert(seen.end(), buf, buf + k);
+    }
+    EXPECT_EQ(seen, want);
+    // Drained: the write buffer's large capacity was released.
+    EXPECT_EQ(p.conn.flush(), FramedConn::Flush::Ok);
+    EXPECT_FALSE(p.conn.pending_write());
+    EXPECT_LE(p.conn.capacity(), kBufShrinkBytes);
+  }
+  {
+    // A read buffer that held a large frame is released once parsed out;
+    // a small drained one keeps its capacity.
+    FramedPair p;
+    const auto big = encode_dump_reply(std::string(4 * kBufShrinkBytes, 'y'));
+    p.deliver(big.data(), big.size());
+    ASSERT_EQ(p.conn.next_frame(&hdr, &frame), HeaderStatus::Ok);
+    EXPECT_EQ(kHeaderBytes + hdr.payload_len, big.size());
+    EXPECT_GT(p.conn.capacity(), kBufShrinkBytes);
+    EXPECT_EQ(p.conn.next_frame(&hdr, &frame), HeaderStatus::NeedMore);
+    EXPECT_LE(p.conn.capacity(), kBufShrinkBytes);
+
+    p.conn.append(ping);
+    EXPECT_EQ(p.conn.flush(), FramedConn::Flush::Ok);
+    EXPECT_GT(p.conn.capacity(), 0u);
+  }
 }
 
 TEST(NetServer, FixedRankLoopbackResidual) {

@@ -224,6 +224,65 @@ TEST(Scheduler, BatchingCollectorMatchesSoloAnswersBitwise) {
   EXPECT_EQ(worker_jobs, std::uint64_t(kJobs));
 }
 
+// The collector classifies batch members against the caches before the
+// per-job pass probes them again; only the pass may count. Twelve
+// distinct jobs are twelve result and twelve sketch misses whether they
+// run solo or batched, and the factors match bitwise.
+TEST(Scheduler, BatchedCacheProbesCountOncePerJob) {
+  constexpr int kJobs = 12;
+  std::vector<Matrix<double>> mats;
+  std::vector<rsvd::FixedRankOptions> opts(kJobs);
+  for (int i = 0; i < kJobs; ++i) {
+    mats.push_back(randla::testing::random_matrix<double>(
+        120 + 10 * (i % 3), 80 + 6 * (i % 4), 300 + i));
+    opts[i].k = 8 + (i % 3);
+    opts[i].p = 4;
+    opts[i].q = i % 2;
+    opts[i].seed = 700 + i;
+  }
+  std::vector<std::vector<rsvd::FixedRankResult>> answers;
+  for (const int batch_max : {1, 4}) {
+    SchedulerOptions so;
+    so.num_workers = 1;
+    so.queue_capacity = kJobs + 4;
+    so.batch_max = batch_max;
+    so.batch_linger_s = 0.02;
+    Scheduler sched(so);
+    std::vector<std::shared_ptr<JobHandle>> handles;
+    for (int i = 0; i < kJobs; ++i) {
+      Job job;
+      job.payload = FixedRankJob{
+          make_input(Matrix<double>::copy_of(mats[i].view())), opts[i]};
+      auto sub = sched.submit(std::move(job));
+      ASSERT_EQ(sub.status, PushStatus::Ok);
+      handles.push_back(std::move(sub.handle));
+    }
+    sched.drain();
+    answers.emplace_back();
+    for (const auto& h : handles) {
+      const auto& out = h->wait();
+      ASSERT_EQ(out.status, JobStatus::Done) << out.error;
+      answers.back().push_back(*out.fixed_rank);
+    }
+    if (batch_max > 1) {
+      EXPECT_GE(sched.batch_stats().batched_jobs, 2u);
+    }
+    EXPECT_EQ(sched.result_cache_stats().misses, std::uint64_t(kJobs))
+        << "batch_max " << batch_max;
+    EXPECT_EQ(sched.sketch_cache_stats().misses, std::uint64_t(kJobs))
+        << "batch_max " << batch_max;
+    EXPECT_EQ(sched.result_cache_stats().hits, 0u);
+  }
+  for (int i = 0; i < kJobs; ++i) {
+    EXPECT_TRUE(bitwise_equal(ConstMatrixView<double>(answers[0][i].q.view()),
+                              ConstMatrixView<double>(answers[1][i].q.view())))
+        << "job " << i;
+    EXPECT_TRUE(bitwise_equal(ConstMatrixView<double>(answers[0][i].r.view()),
+                              ConstMatrixView<double>(answers[1][i].r.view())))
+        << "job " << i;
+  }
+}
+
 // batch_max = 1 must leave the solo path byte-for-byte untouched — no
 // collector, no counters, batch_size 1 in every trace.
 TEST(Scheduler, BatchingDisabledLeavesSoloPathUntouched) {
