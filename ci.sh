@@ -69,7 +69,9 @@
 #      offsets and the arena lease/recycle paths run under
 #      ASan/UBSan — plus one chaos replay
 #      under ASan, since injected resets/truncations exercise the
-#      buffer-handling edge paths;
+#      buffer-handling edge paths, and one short randla_cluster shard-kill
+#      chaos run, so the drivers' shared harness (examples/harness) runs
+#      memory-checked from both of them;
 #   8. concurrency: the full tier-1 suite rebuilt with -fsanitize=thread
 #      (the `tsan` preset) and RANDLA_NUM_THREADS=2, so the persistent
 #      BLAS worker pool (blocked GEMM tiles, syrk/trsm/trmm splits, TSQR
@@ -298,12 +300,17 @@ cmake --preset asan
 cmake --build --preset asan -j "$JOBS" \
   --target test_net_protocol test_net_server test_fault \
   test_batched_blas test_zero_copy_decode test_qrcp test_qrcp_rqrcp \
-  test_cluster_router randla_loadgen
+  test_cluster_router randla_loadgen randla_cluster
 ctest --preset asan -j "$JOBS"
 
 echo "== chaos under ASan: fault paths memory-clean =="
 ./build-asan/examples/randla_loadgen --chaos "$CHAOS_SCHEDULE" --seed 7 \
   --jobs 60 --threads 2
+# The same shared harness code (fork + port handshake, retry-policy job
+# driver, duplicate scan over shard trace dumps) from the cluster driver:
+# a shard SIGKILLed mid-run, memory-checked in parent and children.
+./build-asan/examples/randla_cluster --chaos --shards 3 --jobs 60 \
+  --threads 2 --tmp build-asan
 
 echo "== concurrency: ThreadSanitizer tier-1 with the pool engaged =="
 cmake --preset tsan

@@ -75,33 +75,23 @@
 // Exit code: nonzero on any lost job, duplicated execution, failed
 // residual check, missed speedup bound, missed drain handoff or
 // hit-rate floor, or missing router metrics.
+#include <pthread.h>
 #include <signal.h>
-#include <sys/wait.h>
-#include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
-#include <cerrno>
-#include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <map>
-#include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_util.hpp"
 #include "cluster/hash_ring.hpp"
 #include "cluster/router.hpp"
-#include "la/norms.hpp"
-#include "net/client.hpp"
-#include "net/server.hpp"
+#include "harness.hpp"
 #include "obs/recorder.hpp"
-#include "runtime/scheduler.hpp"
-#include "util/stats.hpp"
 
 using namespace randla;
 
@@ -163,112 +153,102 @@ net::JobRequest build_request(const Options& opt, int i) {
   return req;
 }
 
-/// ‖A·P − Q·R‖_F / ‖A‖_F with A regenerated locally from the spec.
-bool verify_fixed_rank(const net::JobRequest& req,
-                       const net::CallResult& res) {
-  if (res.header.status != runtime::JobStatus::Done ||
-      res.tensors.size() != 2)
-    return false;
-  const Matrix<double> a = net::materialize(req.matrix);
-  Matrix<double> resid(a.rows(), a.cols());
-  apply_column_permutation<double>(a.view(), res.header.perm, resid.view());
-  blas::gemm<double>(Op::NoTrans, Op::NoTrans, -1.0,
-                     ConstMatrixView<double>(res.tensors[0].view()),
-                     ConstMatrixView<double>(res.tensors[1].view()), 1.0,
-                     resid.view());
-  const double err =
-      norm_fro<double>(ConstMatrixView<double>(resid.view())) /
-      norm_fro<double>(ConstMatrixView<double>(a.view()));
-  if (err > 1e-8) {
-    std::fprintf(stderr, "cluster: residual %.3e (req %llu)\n", err,
-                 (unsigned long long)req.request_id);
-    return false;
-  }
-  return true;
+// ---------------------------------------------------------------------
+// Shard and router processes.
+
+std::string telemetry_path(const Options& opt, const std::string& stem,
+                           int shard_idx) {
+  return opt.tmp + "/" + stem + std::to_string(shard_idx) + ".telemetry";
 }
 
-// ---------------------------------------------------------------------
-// Shard child process.
-
-struct ShardProc {
-  pid_t pid = -1;
-  std::uint16_t port = 0;
-  std::string telemetry_path;
-  bool killed = false;
-};
-
-/// Child body: serve until a remote Shutdown drains the loop, then dump
-/// telemetry for the parent's duplicate detector. Never returns.
-[[noreturn]] void shard_child(const Options& opt, int shard_idx, int port_fd,
-                              const std::string& telemetry_path) {
-  // Label this process's flight recorder so the cluster-wide postmortem
-  // attributes events to the right shard, and arm the crash handler: a
-  // SIGSEGV/SIGABRT leaves a best-effort ring dump next to telemetry.
-  obs::Recorder::global().set_source("shard-" + std::to_string(shard_idx));
-  const std::string crash_path =
-      opt.tmp + "/cluster_shard_" + std::to_string(shard_idx) + "_crash.json";
-  obs::Recorder::global().install_crash_handler(crash_path.c_str());
-
+/// Fork `n` shards (the parent is single-threaded here: callers join
+/// every thread between runs). Each serves until a remote Shutdown
+/// drains it, then dumps one "tag<TAB>status<TAB>cache" line per job
+/// trace to its telemetry file for scan_duplicates. Empty on failure,
+/// with every shard already started killed and reaped.
+std::vector<harness::ChildProc> spawn_shards(const Options& opt, int n,
+                                             const std::string& stem) {
   runtime::SchedulerOptions so;
   so.num_workers = opt.workers;
   so.queue_capacity = opt.queue;
   so.result_cache_capacity = static_cast<std::size_t>(opt.cache);
   so.sketch_cache_capacity = static_cast<std::size_t>(opt.cache);
-  runtime::Scheduler sched(so);
-
   net::ServerOptions svo;
-  svo.port = 0;
-  svo.allow_remote_shutdown = true;
   svo.matrix_cache_capacity = static_cast<std::size_t>(opt.cache);
-  net::Server server(sched, svo);
-  if (!server.start()) _exit(3);
-
-  const std::uint16_t port = server.port();
-  if (write(port_fd, &port, sizeof port) != sizeof port) _exit(3);
-  ::close(port_fd);
-
-  server.wait();  // blocks until the parent's Shutdown frame drains us
-
-  if (std::FILE* f = std::fopen(telemetry_path.c_str(), "w")) {
-    for (const auto& tr : sched.telemetry().traces())
-      std::fprintf(f, "%s\t%s\t%s\n", tr.tag.c_str(),
-                   runtime::job_status_name(tr.status),
-                   runtime::cache_disposition_name(tr.cache));
-    std::fclose(f);
+  std::vector<harness::ChildProc> shards;
+  for (int s = 0; s < n; ++s) {
+    const std::string path = telemetry_path(opt, stem, s);
+    std::remove(path.c_str());
+    shards.push_back(harness::fork_server([&](const auto& ready) {
+      // A SIGSEGV/SIGABRT leaves a best-effort flight-recorder ring dump
+      // next to the telemetry, attributed to this shard.
+      const std::string crash_path =
+          opt.tmp + "/cluster_shard_" + std::to_string(s) + "_crash.json";
+      obs::Recorder::global().install_crash_handler(crash_path.c_str());
+      return harness::serve_shard(
+          s, so, svo, ready, [&](runtime::Scheduler& sched) {
+            std::FILE* f = std::fopen(path.c_str(), "w");
+            if (!f) return;
+            for (const auto& r : harness::trace_rows(sched.telemetry().traces()))
+              std::fprintf(f, "%s\t%s\t%s\n", r.tag.c_str(), r.status.c_str(),
+                           r.cache.c_str());
+            std::fclose(f);
+          });
+    }));
+    if (shards.back().pid < 0) {
+      std::fprintf(stderr, "cluster: failed to spawn shard %d\n", s);
+      harness::stop_and_reap(shards, SIGKILL);
+      return {};
+    }
   }
-  _exit(0);
+  return shards;
 }
 
-/// Fork one shard and read back its ephemeral port. The fork happens
-/// while the parent is single-threaded (callers join every thread
-/// between scales), so the child starts from a clean slate.
-bool spawn_shard(const Options& opt, int shard_idx,
-                 const std::string& telemetry_path, ShardProc* out) {
-  int pfd[2];
-  if (pipe(pfd) != 0) return false;
-  const pid_t pid = fork();
-  if (pid < 0) {
-    ::close(pfd[0]);
-    ::close(pfd[1]);
-    return false;
+/// Cluster-wide duplicate detection over the surviving shards' telemetry
+/// dumps (the harness rule: Done with cache Miss/None more than once).
+int scan_duplicates(const Options& opt, const std::string& stem,
+                    const std::vector<harness::ChildProc>& shards) {
+  std::vector<harness::TraceRow> rows;
+  for (std::size_t s = 0; s < shards.size(); ++s) {
+    if (shards[s].killed) continue;
+    const std::string path = telemetry_path(opt, stem, int(s));
+    std::FILE* f = std::fopen(path.c_str(), "r");
+    if (!f) {
+      std::fprintf(stderr, "cluster: missing telemetry %s\n", path.c_str());
+      continue;
+    }
+    char tag[256], status[16], cache[16];  // tags carry no whitespace
+    while (std::fscanf(f, "%255s %15s %15s", tag, status, cache) == 3)
+      rows.push_back({tag, status, cache});
+    std::fclose(f);
   }
-  if (pid == 0) {
-    ::close(pfd[0]);
-    shard_child(opt, shard_idx, pfd[1], telemetry_path);
-  }
-  ::close(pfd[1]);
-  std::uint16_t port = 0;
-  const bool got = read(pfd[0], &port, sizeof port) == sizeof port;
-  ::close(pfd[0]);
-  if (!got || port == 0) {
-    kill(pid, SIGKILL);
-    waitpid(pid, nullptr, 0);
-    return false;
-  }
-  out->pid = pid;
-  out->port = port;
-  out->telemetry_path = telemetry_path;
-  return true;
+  return harness::count_duplicates(rows, "cluster");
+}
+
+/// One router over `shards`; every router built from the same options
+/// computes the same Philox ring, so redundant routers need no
+/// coordination.
+cluster::RouterOptions router_options(
+    const Options& opt, const std::vector<harness::ChildProc>& shards) {
+  cluster::RouterOptions ro;
+  for (const harness::ChildProc& sp : shards)
+    ro.shards.push_back(cluster::ShardEndpoint{"127.0.0.1", sp.port});
+  ro.probe_interval_s = 0.1;
+  ro.peer_fill_threshold = opt.peer_fill;
+  ro.replicate_threshold = opt.replicate_threshold;
+  ro.hedge = opt.hedge;
+  return ro;
+}
+
+/// The clients' load: the fixed-rank stream, `attempts` tries per call.
+harness::ClosedLoop closed_loop(const Options& opt,
+                                std::vector<std::uint16_t> ports,
+                                int attempts) {
+  return {.ports = std::move(ports), .jobs = opt.jobs, .threads = opt.threads,
+          .check_frac = opt.check_frac, .seed = opt.seed,
+          .max_attempts = attempts, .busy_wait_cap_s = 0.25,
+          .request = [&opt](int i) { return build_request(opt, i); },
+          .who = "cluster"};
 }
 
 // ---------------------------------------------------------------------
@@ -276,12 +256,9 @@ bool spawn_shard(const Options& opt, int shard_idx,
 
 enum class RunMode { Sweep, Chaos, Drain };
 
-struct RunResult {
+struct RunResult : harness::LoadTally {
   bool started = false;
-  int ok = 0, lost = 0, duplicated = 0;
-  int checked = 0, check_failed = 0;
-  long busy_retries = 0, reconnects = 0;
-  double wall_s = 0, throughput = 0, p50_ms = 0, p99_ms = 0;
+  int duplicated = 0;
   cluster::RouterStats router;
   std::vector<std::uint32_t> live_end;  ///< ring membership after the run
   bool stats_scrape_ok = false;
@@ -298,94 +275,17 @@ struct RunResult {
                                   ///< the post-drain window (-1 = no scrape)
 };
 
-/// True when `tag` carries one of the intentional-duplicate suffixes the
-/// router appends to replica legs (peer fills, hedges/replicas).
-bool intentional_duplicate(const std::string& tag) {
-  for (const char* suf : {"/peerfill", "/hedge"}) {
-    const std::size_t n = std::strlen(suf);
-    if (tag.size() >= n && tag.compare(tag.size() - n, n, suf) == 0)
-      return true;
-  }
-  return false;
-}
-
-/// Cluster-wide duplicate detection from the shards' telemetry dumps: a
-/// tag that *executed* (Done with cache Miss/None) more than once
-/// anywhere ran twice for real. Replays served from a result cache show
-/// up as Result dispositions and never count; peer-fill and hedge legs
-/// are intentional duplicates and are tagged out of the population.
-int scan_duplicates(const std::vector<ShardProc>& shards) {
-  std::map<std::string, int> executed;
-  for (const ShardProc& sp : shards) {
-    if (sp.killed) continue;
-    std::FILE* f = std::fopen(sp.telemetry_path.c_str(), "r");
-    if (!f) {
-      std::fprintf(stderr, "cluster: missing telemetry %s\n",
-                   sp.telemetry_path.c_str());
-      continue;
-    }
-    char line[512];
-    while (std::fgets(line, sizeof line, f)) {
-      std::string s(line);
-      while (!s.empty() && (s.back() == '\n' || s.back() == '\r'))
-        s.pop_back();
-      const auto tab1 = s.find('\t');
-      const auto tab2 = tab1 == std::string::npos ? std::string::npos
-                                                  : s.find('\t', tab1 + 1);
-      if (tab2 == std::string::npos) continue;
-      const std::string tag = s.substr(0, tab1);
-      const std::string status = s.substr(tab1 + 1, tab2 - tab1 - 1);
-      const std::string cache = s.substr(tab2 + 1);
-      if (status != "done") continue;
-      if (cache != "miss" && cache != "none") continue;
-      if (intentional_duplicate(tag)) continue;
-      ++executed[tag];
-    }
-    std::fclose(f);
-  }
-  int duplicated = 0;
-  for (const auto& [tag, n] : executed)
-    if (n > 1) {
-      std::fprintf(stderr, "cluster: tag %s executed %d times\n", tag.c_str(),
-                   n);
-      ++duplicated;
-    }
-  return duplicated;
-}
-
 RunResult run_scale(const Options& opt, int nshards, RunMode mode) {
   RunResult rr;
-  std::vector<ShardProc> shards(static_cast<std::size_t>(nshards));
-  for (int s = 0; s < nshards; ++s) {
-    const std::string path = opt.tmp + "/cluster_shard_" +
-                             std::to_string(nshards) + "_" +
-                             std::to_string(s) + ".telemetry";
-    std::remove(path.c_str());
-    if (!spawn_shard(opt, s, path, &shards[static_cast<std::size_t>(s)])) {
-      std::fprintf(stderr, "cluster: failed to spawn shard %d\n", s);
-      for (auto& sp : shards)
-        if (sp.pid > 0) {
-          kill(sp.pid, SIGKILL);
-          waitpid(sp.pid, nullptr, 0);
-        }
-      return rr;
-    }
-  }
+  const std::string stem = "cluster_shard_" + std::to_string(nshards) + "_";
+  std::vector<harness::ChildProc> shards = spawn_shards(opt, nshards, stem);
+  if (shards.empty()) return rr;
 
-  cluster::RouterOptions ro;
-  for (const ShardProc& sp : shards)
-    ro.shards.push_back(cluster::ShardEndpoint{"127.0.0.1", sp.port});
-  ro.probe_interval_s = 0.1;
-  ro.peer_fill_threshold = opt.peer_fill;
-  ro.replicate_threshold = opt.replicate_threshold;
-  ro.hedge = opt.hedge;
+  const cluster::RouterOptions ro = router_options(opt, shards);
   cluster::Router router(ro);
   if (!router.start()) {
     std::fprintf(stderr, "cluster: router failed to start\n");
-    for (auto& sp : shards) {
-      kill(sp.pid, SIGKILL);
-      waitpid(sp.pid, nullptr, 0);
-    }
+    harness::stop_and_reap(shards, SIGKILL);
     return rr;
   }
   rr.started = true;
@@ -407,140 +307,62 @@ RunResult run_scale(const Options& opt, int nshards, RunMode mode) {
     rr.successor = *ring.successor(cluster::ring_point(rr.victim, 0));
   }
 
-  struct Rec {
-    bool ok = false;
-    int busy = 0;
-    int reconnects = 0;
-    bool checked = false;
-    bool check_passed = true;
-    double latency_ms = 0;
-  };
-  std::vector<Rec> recs(static_cast<std::size_t>(opt.jobs));
-  std::atomic<int> next_job{0};
-  std::atomic<int> done_jobs{0};
-  std::atomic<int> check_counter{0};
-  const int check_period =
-      opt.check_frac > 0
-          ? std::max(1, static_cast<int>(std::lround(1.0 / opt.check_frac)))
-          : 0;
-
-  const auto t0 = std::chrono::steady_clock::now();
-  auto worker = [&](int widx) {
-    net::ClientOptions copt;
-    copt.host = "127.0.0.1";
-    copt.port = router.port();
-    copt.recv_timeout_s = 10;
-    copt.retry.max_attempts = mode == RunMode::Sweep ? 6 : 12;
-    copt.retry.max_busy_retries = 1000;  // throughput run: wait, don't fail
-    copt.retry.busy_wait_cap_s = 0.25;
-    copt.retry.backoff_seed = opt.seed * 1000 + std::uint64_t(widx);
-    net::Client client(copt);
-    for (;;) {
-      const int i = next_job.fetch_add(1);
-      if (i >= opt.jobs) return;
-      const net::JobRequest req = build_request(opt, i);
-      Rec& rec = recs[static_cast<std::size_t>(i)];
-      net::RetryInfo info;
-      const auto start = std::chrono::steady_clock::now();
-      const net::CallResult res = client.call_with_retry(req, &info);
-      rec.latency_ms = std::chrono::duration<double, std::milli>(
-                           std::chrono::steady_clock::now() - start)
-                           .count();
-      rec.busy = info.busy_retries;
-      rec.reconnects = info.reconnects;
-      rec.ok = res.status == net::CallStatus::Ok &&
-               res.header.status == runtime::JobStatus::Done;
-      done_jobs.fetch_add(1);
-      if (!rec.ok) {
-        std::fprintf(stderr, "cluster: job %d lost after %d attempts: %s %s\n",
-                     i, info.attempts, net::call_status_name(res.status),
-                     res.detail.c_str());
-        continue;
-      }
-      if (check_period > 0 &&
-          check_counter.fetch_add(1) % check_period == 0) {
-        rec.checked = true;
-        rec.check_passed = verify_fixed_rank(req, res);
-      }
-    }
-  };
   // Successor result-cache scrape for the drain hit-rate window: the
   // per-shard Stats verb, straight to the shard (not through the router).
-  auto scrape_result_cache = [&](std::uint32_t shard, double* hits,
-                                 double* misses) {
-    net::ClientOptions copt;
-    copt.host = "127.0.0.1";
-    copt.port = shards[shard].port;
-    copt.recv_timeout_s = 5;
-    net::Client sc(copt);
-    if (!sc.connect()) return false;
-    const auto st = sc.stats();
-    if (!st) return false;
-    *hits = st->value("result_cache_hits");
-    *misses = st->value("result_cache_misses");
-    return true;
+  auto scrape_successor = [&] {
+    return harness::scrape(
+        harness::client_options(shards[rr.successor].port, 5));
   };
-
-  std::vector<std::thread> pool;
-  for (int t = 0; t < opt.threads; ++t) pool.emplace_back(worker, t);
-
-  double succ_hits0 = 0, succ_misses0 = 0;
-  bool succ_scrape0 = false;
-  if (mode == RunMode::Chaos) {
-    // Let the cluster warm up, then kill the victim mid-run.
-    const int trigger = std::max(1, (opt.jobs * 2) / 5);
-    while (done_jobs.load() < trigger)
-      std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    ShardProc& v = shards[rr.victim];
-    std::printf("cluster: SIGKILL shard %u (pid %d) after %d jobs\n",
-                rr.victim, int(v.pid), done_jobs.load());
-    kill(v.pid, SIGKILL);
-    v.killed = true;
-  } else if (mode == RunMode::Drain) {
-    // Let the victim's caches warm up, then decommission it live. The
-    // drain blocks here until the handoff's DrainReply — jobs keep
-    // flowing the whole time (the victim sheds new submits with Busy
-    // hints, which the clients' retry policy rides out).
-    const int trigger = std::max(1, (opt.jobs * 2) / 5);
-    while (done_jobs.load() < trigger)
-      std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    succ_scrape0 =
-        scrape_result_cache(rr.successor, &succ_hits0, &succ_misses0);
-    std::printf("cluster: draining shard %u → successor %u after %d jobs\n",
-                rr.victim, rr.successor, done_jobs.load());
-    rr.drain_ok = router.drain(rr.victim, &rr.drain_sum);
-    std::printf("cluster: drain %s — %llu entries / %llu bytes handed off, "
-                "%llu skipped, %llu in flight at reply\n",
-                rr.drain_ok ? "ok" : "FAILED",
-                (unsigned long long)rr.drain_sum.entries,
-                (unsigned long long)rr.drain_sum.bytes,
-                (unsigned long long)rr.drain_sum.skipped,
-                (unsigned long long)rr.drain_sum.inflight);
-  }
-  for (auto& t : pool) t.join();
-  rr.wall_s = std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                            t0)
-                  .count();
+  std::optional<net::StatsReply> succ0;
+  static_cast<harness::LoadTally&>(rr) = harness::run_closed_loop(
+      closed_loop(opt, {router.port()}, mode == RunMode::Sweep ? 6 : 12),
+      [&](const std::atomic<int>& done) {
+        if (mode == RunMode::Sweep) return;
+        // Let the victim's caches warm up first.
+        harness::await_mid_run(done, opt.jobs);
+        if (mode == RunMode::Chaos) {
+          harness::ChildProc& v = shards[rr.victim];
+          std::printf("cluster: SIGKILL shard %u (pid %d) after %d jobs\n",
+                      rr.victim, int(v.pid), done.load());
+          kill(v.pid, SIGKILL);
+          v.killed = true;
+          return;
+        }
+        // Decommission the victim live. The drain blocks here until the
+        // handoff's DrainReply — jobs keep flowing the whole time (the
+        // victim sheds new submits with Busy hints, which the clients'
+        // retry policy rides out).
+        succ0 = scrape_successor();
+        std::printf("cluster: draining shard %u → successor %u after %d "
+                    "jobs\n",
+                    rr.victim, rr.successor, done.load());
+        rr.drain_ok = router.drain(rr.victim, &rr.drain_sum);
+        std::printf("cluster: drain %s — %llu entries / %llu bytes handed "
+                    "off, %llu skipped, %llu in flight at reply\n",
+                    rr.drain_ok ? "ok" : "FAILED",
+                    (unsigned long long)rr.drain_sum.entries,
+                    (unsigned long long)rr.drain_sum.bytes,
+                    (unsigned long long)rr.drain_sum.skipped,
+                    (unsigned long long)rr.drain_sum.inflight);
+      });
 
   // Post-drain window hit rate on the successor: every request in the
   // victim's former keyshare now lands there, and the handed-off cache
   // entries should serve them without re-execution.
-  if (mode == RunMode::Drain && succ_scrape0) {
-    double h1 = 0, m1 = 0;
-    if (scrape_result_cache(rr.successor, &h1, &m1)) {
-      const double dh = h1 - succ_hits0, dm = m1 - succ_misses0;
+  if (mode == RunMode::Drain && succ0)
+    if (const auto succ1 = scrape_successor()) {
+      auto delta = [&](const char* name) {
+        return succ1->value(name) - succ0->value(name);
+      };
+      const double dh = delta("result_cache_hits"),
+                   dm = delta("result_cache_misses");
       rr.succ_hit_rate = (dh + dm) > 0 ? dh / (dh + dm) : 0.0;
     }
-  }
 
   // Router-side accounting: scrape over the wire (the same Stats verb a
   // monitoring client would use), then the in-process snapshot.
   {
-    net::ClientOptions copt;
-    copt.host = "127.0.0.1";
-    copt.port = router.port();
-    copt.recv_timeout_s = 5;
-    net::Client sc(copt);
+    net::Client sc(harness::client_options(router.port(), 5));
     if (sc.connect()) {
       if (auto stats = sc.stats()) {
         rr.stats_scrape_ok = stats->has("router_submits_routed") &&
@@ -570,37 +392,10 @@ RunResult run_scale(const Options& opt, int nshards, RunMode mode) {
   rr.live_end = router.live_shards();
   router.stop();
 
-  // Drain the shards (Shutdown → telemetry dump → exit) and reap.
-  for (ShardProc& sp : shards) {
-    if (sp.killed) continue;
-    net::ClientOptions copt;
-    copt.host = "127.0.0.1";
-    copt.port = sp.port;
-    copt.recv_timeout_s = 5;
-    net::Client c(copt);
-    if (c.connect()) c.send_shutdown();
-  }
-  for (ShardProc& sp : shards) {
-    int status = 0;
-    waitpid(sp.pid, &status, 0);
-  }
-
-  rr.duplicated = scan_duplicates(shards);
-
-  std::vector<double> lat;
-  for (const Rec& r : recs) {
-    r.ok ? ++rr.ok : ++rr.lost;
-    rr.busy_retries += r.busy;
-    rr.reconnects += r.reconnects;
-    if (r.ok) lat.push_back(r.latency_ms);
-    if (r.checked) {
-      ++rr.checked;
-      if (!r.check_passed) ++rr.check_failed;
-    }
-  }
-  rr.p50_ms = util::percentile(lat, 50);
-  rr.p99_ms = util::percentile(lat, 99);
-  rr.throughput = rr.wall_s > 0 ? double(rr.ok) / rr.wall_s : 0;
+  // Drain the shards (Shutdown → telemetry dump → exit), reap, and
+  // count re-executions from their dumps.
+  harness::stop_and_reap(shards);
+  rr.duplicated = scan_duplicates(opt, stem, shards);
   return rr;
 }
 
@@ -681,59 +476,32 @@ int run_chaos(const Options& opt, int argc, char** argv) {
     if (!report.write()) return 1;
   }
 
-  bool bad = false;
-  if (rr.lost > 0) {
-    std::fprintf(stderr, "FAIL: %d jobs lost\n", rr.lost);
-    bad = true;
-  }
-  if (rr.duplicated > 0) {
-    std::fprintf(stderr, "FAIL: %d jobs executed more than once\n",
-                 rr.duplicated);
-    bad = true;
-  }
-  if (rr.check_failed > 0) {
-    std::fprintf(stderr, "FAIL: %d residual checks failed\n",
-                 rr.check_failed);
-    bad = true;
-  }
-  if (rr.router.membership_changes < 1) {
-    std::fprintf(stderr, "FAIL: router never recorded the shard death\n");
-    bad = true;
-  }
-  if (rr.live_end.size() != static_cast<std::size_t>(opt.shards) - 1) {
-    std::fprintf(stderr, "FAIL: expected %d live shards, router sees %zu\n",
-                 opt.shards - 1, rr.live_end.size());
-    bad = true;
-  }
-  if (!rr.stats_scrape_ok || !rr.victim_marked_down) {
-    std::fprintf(stderr,
-                 "FAIL: router Stats scrape missing membership metrics\n");
-    bad = true;
-  }
-  if (!rr.merged_stats_ok) {
-    std::fprintf(stderr,
-                 "FAIL: router Stats merge missing cluster_stale_shards or "
-                 "shard-labeled rows\n");
-    bad = true;
-  }
-  if (rr.postmortem.empty() || !postmortem_has_death) {
-    std::fprintf(stderr, "FAIL: cluster postmortem missing or lacks the "
-                         "victim's shard_down event\n");
-    bad = true;
-  }
+  harness::Gate gate;
+  harness::expect_clean(gate, rr, rr.duplicated);
+  gate.fail_if(rr.router.membership_changes < 1,
+               "router never recorded the shard death");
+  gate.fail_if(rr.live_end.size() != static_cast<std::size_t>(opt.shards) - 1,
+               "expected %d live shards, router sees %zu", opt.shards - 1,
+               rr.live_end.size());
+  gate.fail_if(!rr.stats_scrape_ok || !rr.victim_marked_down,
+               "router Stats scrape missing membership metrics");
+  gate.fail_if(!rr.merged_stats_ok,
+               "router Stats merge missing cluster_stale_shards or "
+               "shard-labeled rows");
+  gate.fail_if(rr.postmortem.empty() || !postmortem_has_death,
+               "cluster postmortem missing or lacks the victim's shard_down "
+               "event");
   if (opt.hedge && opt.replicate_threshold <= 0) {
     // Latency hedges are token-bucket bounded: refill ratio (default
     // 0.05/submit) times routed submits, plus the burst the bucket can
     // hold. Replication legs share the counter, so only check when
     // hedging runs alone.
     const double bound = 0.05 * double(rr.router.submits_routed) + 5.0;
-    if (double(rr.router.hedges_fired) > bound) {
-      std::fprintf(stderr, "FAIL: %llu hedges exceed budget bound %.0f\n",
-                   (unsigned long long)rr.router.hedges_fired, bound);
-      bad = true;
-    }
+    gate.fail_if(double(rr.router.hedges_fired) > bound,
+                 "%llu hedges exceed budget bound %.0f",
+                 (unsigned long long)rr.router.hedges_fired, bound);
   }
-  return bad ? 1 : 0;
+  return gate.exit_code();
 }
 
 // ---------------------------------------------------------------------
@@ -777,81 +545,26 @@ int run_drain(const Options& opt, int argc, char** argv) {
     if (!report.write()) return 1;
   }
 
-  bool bad = false;
-  if (rr.lost > 0) {
-    std::fprintf(stderr, "FAIL: %d jobs lost across the drain\n", rr.lost);
-    bad = true;
-  }
-  if (rr.duplicated > 0) {
-    std::fprintf(stderr, "FAIL: %d jobs executed more than once\n",
-                 rr.duplicated);
-    bad = true;
-  }
-  if (rr.check_failed > 0) {
-    std::fprintf(stderr, "FAIL: %d residual checks failed\n", rr.check_failed);
-    bad = true;
-  }
-  if (!rr.drain_ok) {
-    std::fprintf(stderr, "FAIL: drain round-trip failed\n");
-    bad = true;
-  }
-  if (rr.drain_sum.entries == 0) {
-    std::fprintf(stderr, "FAIL: drain handed off zero cache entries\n");
-    bad = true;
-  }
-  if (rr.router.drains_completed != 1) {
-    std::fprintf(stderr, "FAIL: router recorded %llu completed drains\n",
-                 (unsigned long long)rr.router.drains_completed);
-    bad = true;
-  }
-  if (std::find(rr.live_end.begin(), rr.live_end.end(), rr.victim) !=
-      rr.live_end.end()) {
-    std::fprintf(stderr, "FAIL: drained shard %u still in the ring\n",
-                 rr.victim);
-    bad = true;
-  }
-  if (rr.succ_hit_rate < opt.hit_floor) {
-    std::fprintf(stderr,
-                 "FAIL: successor post-drain hit-rate %.2f below floor %.2f "
-                 "— cache warmth was lost\n",
-                 rr.succ_hit_rate, opt.hit_floor);
-    bad = true;
-  }
-  return bad ? 1 : 0;
+  harness::Gate gate;
+  harness::expect_clean(gate, rr, rr.duplicated);
+  gate.fail_if(!rr.drain_ok, "drain round-trip failed");
+  gate.fail_if(rr.drain_sum.entries == 0,
+               "drain handed off zero cache entries");
+  gate.fail_if(rr.router.drains_completed != 1,
+               "router recorded %llu completed drains",
+               (unsigned long long)rr.router.drains_completed);
+  gate.fail_if(std::find(rr.live_end.begin(), rr.live_end.end(), rr.victim) !=
+                   rr.live_end.end(),
+               "drained shard %u still in the ring", rr.victim);
+  gate.fail_if(rr.succ_hit_rate < opt.hit_floor,
+               "successor post-drain hit-rate %.2f below floor %.2f — cache "
+               "warmth was lost",
+               rr.succ_hit_rate, opt.hit_floor);
+  return gate.exit_code();
 }
 
 // ---------------------------------------------------------------------
 // --chaos --routers N: redundant routers over one deterministic ring.
-
-/// Child body: one of N redundant routers over the same shard list.
-/// Identical options ⇒ identical Philox ring ⇒ identical placement, so
-/// the routers need no coordination. Reports its ephemeral port, serves
-/// until the parent closes the control pipe, stops gracefully. Never
-/// returns.
-[[noreturn]] void router_child(const Options& opt,
-                               const std::vector<std::uint16_t>& shard_ports,
-                               int idx, int port_fd, int ctl_fd) {
-  obs::Recorder::global().set_source("router-" + std::to_string(idx));
-  cluster::RouterOptions ro;
-  for (std::uint16_t p : shard_ports)
-    ro.shards.push_back(cluster::ShardEndpoint{"127.0.0.1", p});
-  ro.probe_interval_s = 0.1;
-  ro.peer_fill_threshold = opt.peer_fill;
-  ro.replicate_threshold = opt.replicate_threshold;
-  ro.hedge = opt.hedge;
-  cluster::Router router(ro);
-  if (!router.start()) _exit(3);
-  const std::uint16_t port = router.port();
-  if (write(port_fd, &port, sizeof port) != sizeof port) _exit(3);
-  ::close(port_fd);
-  char b = 0;
-  ssize_t r;
-  do {
-    r = read(ctl_fd, &b, 1);
-  } while (r < 0 && errno == EINTR);
-  router.stop();
-  _exit(0);
-}
 
 int run_router_chaos(const Options& opt, int argc, char** argv) {
   const int nshards = opt.shards, nrouters = opt.routers;
@@ -859,178 +572,64 @@ int run_router_chaos(const Options& opt, int argc, char** argv) {
               "%d jobs, %d threads\n",
               nshards, nrouters, opt.jobs, opt.threads);
 
-  std::vector<ShardProc> shards(static_cast<std::size_t>(nshards));
-  auto cleanup_shards = [&] {
-    for (auto& sp : shards)
-      if (sp.pid > 0) {
-        kill(sp.pid, SIGKILL);
-        waitpid(sp.pid, nullptr, 0);
-      }
-  };
-  for (int s = 0; s < nshards; ++s) {
-    const std::string path =
-        opt.tmp + "/cluster_rchaos_" + std::to_string(s) + ".telemetry";
-    std::remove(path.c_str());
-    if (!spawn_shard(opt, s, path, &shards[static_cast<std::size_t>(s)])) {
-      std::fprintf(stderr, "cluster: failed to spawn shard %d\n", s);
-      cleanup_shards();
-      return 1;
-    }
-  }
-  std::vector<std::uint16_t> shard_ports;
-  for (const ShardProc& sp : shards) shard_ports.push_back(sp.port);
+  const std::string stem = "cluster_rchaos_";
+  std::vector<harness::ChildProc> shards = spawn_shards(opt, nshards, stem);
+  if (shards.empty()) return 1;
 
-  struct RouterProc {
-    pid_t pid = -1;
-    std::uint16_t port = 0;
-    int ctl_fd = -1;
-    bool killed = false;
-  };
-  std::vector<RouterProc> routers(static_cast<std::size_t>(nrouters));
-  auto cleanup_routers = [&] {
-    for (auto& rp : routers)
-      if (rp.pid > 0) {
-        if (rp.ctl_fd >= 0) ::close(rp.ctl_fd);
-        kill(rp.pid, SIGKILL);
-        waitpid(rp.pid, nullptr, 0);
-      }
-  };
+  // N router processes over the same shard list. Each serves until
+  // SIGTERM, then stops gracefully.
+  const cluster::RouterOptions ro = router_options(opt, shards);
+  std::vector<harness::ChildProc> routers;
   for (int r = 0; r < nrouters; ++r) {
-    int pfd[2], cfd[2];
-    if (pipe(pfd) != 0 || pipe(cfd) != 0) {
-      cleanup_routers();
-      cleanup_shards();
-      return 1;
-    }
-    const pid_t pid = fork();
-    if (pid < 0) {
-      cleanup_routers();
-      cleanup_shards();
-      return 1;
-    }
-    if (pid == 0) {
-      ::close(pfd[0]);
-      ::close(cfd[1]);
-      router_child(opt, shard_ports, r, pfd[1], cfd[0]);
-    }
-    ::close(pfd[1]);
-    ::close(cfd[0]);
-    RouterProc& rp = routers[static_cast<std::size_t>(r)];
-    rp.pid = pid;
-    rp.ctl_fd = cfd[1];
-    const bool got = read(pfd[0], &rp.port, sizeof rp.port) == sizeof rp.port;
-    ::close(pfd[0]);
-    if (!got || rp.port == 0) {
+    routers.push_back(harness::fork_server([&](const auto& ready) {
+      obs::Recorder::global().set_source("router-" + std::to_string(r));
+      sigset_t term;
+      sigemptyset(&term);
+      sigaddset(&term, SIGTERM);
+      pthread_sigmask(SIG_BLOCK, &term, nullptr);  // before any thread
+      cluster::Router router(ro);
+      if (!router.start()) return 3;
+      ready(router.port());
+      int sig = 0;
+      sigwait(&term, &sig);
+      router.stop();
+      return 0;
+    }));
+    if (routers.back().pid < 0) {
       std::fprintf(stderr, "cluster: router %d failed to start\n", r);
-      cleanup_routers();
-      cleanup_shards();
+      harness::stop_and_reap(routers, SIGKILL);
+      harness::stop_and_reap(shards, SIGKILL);
       return 1;
     }
   }
   std::printf("cluster: routers ready on ports");
-  for (const RouterProc& rp : routers) std::printf(" :%u", unsigned(rp.port));
+  std::vector<std::uint16_t> router_ports;
+  for (const harness::ChildProc& rp : routers) {
+    std::printf(" :%u", unsigned(rp.port));
+    router_ports.push_back(rp.port);
+  }
   std::printf("\n");
 
-  struct Rec {
-    bool ok = false;
-    int busy = 0;
-    int reconnects = 0;
-    int failovers = 0;  ///< endpoint switches after a dead router
-    bool checked = false;
-    bool check_passed = true;
-    double latency_ms = 0;
-  };
-  std::vector<Rec> recs(static_cast<std::size_t>(opt.jobs));
-  std::atomic<int> next_job{0};
-  std::atomic<int> done_jobs{0};
-  std::atomic<int> check_counter{0};
-  const int check_period =
-      opt.check_frac > 0
-          ? std::max(1, static_cast<int>(std::lround(1.0 / opt.check_frac)))
-          : 0;
-
-  const auto t0 = std::chrono::steady_clock::now();
-  auto worker = [&](int widx) {
-    // Clients spread across the routers; when one dies mid-call the
-    // worker rotates to the next endpoint and resubmits the same
-    // idempotent request — the shard's result cache turns the replay
-    // into a hit, never a second execution.
-    int ep = widx % nrouters;
-    auto fresh = [&](int e) {
-      net::ClientOptions copt;
-      copt.host = "127.0.0.1";
-      copt.port = routers[static_cast<std::size_t>(e)].port;
-      copt.recv_timeout_s = 10;
-      copt.retry.max_attempts = 3;  // fail fast, then switch routers
-      copt.retry.max_busy_retries = 1000;
-      copt.retry.busy_wait_cap_s = 0.25;
-      copt.retry.backoff_seed = opt.seed * 1000 + std::uint64_t(widx);
-      return std::make_unique<net::Client>(copt);
-    };
-    std::unique_ptr<net::Client> client = fresh(ep);
-    for (;;) {
-      const int i = next_job.fetch_add(1);
-      if (i >= opt.jobs) return;
-      const net::JobRequest req = build_request(opt, i);
-      Rec& rec = recs[static_cast<std::size_t>(i)];
-      const auto start = std::chrono::steady_clock::now();
-      net::CallResult res;
-      for (int hop = 0; hop <= 2 * nrouters; ++hop) {
-        net::RetryInfo info;
-        res = client->call_with_retry(req, &info);
-        rec.busy += info.busy_retries;
-        rec.reconnects += info.reconnects;
-        if (res.status == net::CallStatus::Ok) break;
-        ep = (ep + 1) % nrouters;
-        client = fresh(ep);
-        ++rec.failovers;
-      }
-      rec.latency_ms = std::chrono::duration<double, std::milli>(
-                           std::chrono::steady_clock::now() - start)
-                           .count();
-      rec.ok = res.status == net::CallStatus::Ok &&
-               res.header.status == runtime::JobStatus::Done;
-      done_jobs.fetch_add(1);
-      if (!rec.ok) {
-        std::fprintf(stderr, "cluster: job %d lost: %s %s\n", i,
-                     net::call_status_name(res.status), res.detail.c_str());
-        continue;
-      }
-      if (check_period > 0 &&
-          check_counter.fetch_add(1) % check_period == 0) {
-        rec.checked = true;
-        rec.check_passed = verify_fixed_rank(req, res);
-      }
-    }
-  };
-  std::vector<std::thread> pool;
-  for (int t = 0; t < opt.threads; ++t) pool.emplace_back(worker, t);
-
-  // Kill router 0 mid-run: every client parked on it must fail over to a
+  // Clients spread across the routers and fail fast (3 attempts); when
+  // one router dies mid-call the worker rotates to the next and
+  // resubmits the same idempotent request — the shard's result cache
+  // turns the replay into a hit, never a second execution. Router 0 is
+  // SIGKILLed mid-run: every client parked on it must fail over to a
   // survivor and finish its jobs there.
-  {
-    const int trigger = std::max(1, (opt.jobs * 2) / 5);
-    while (done_jobs.load() < trigger)
-      std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    std::printf("cluster: SIGKILL router 0 (pid %d) after %d jobs\n",
-                int(routers[0].pid), done_jobs.load());
-    kill(routers[0].pid, SIGKILL);
-    routers[0].killed = true;
-  }
-  for (auto& t : pool) t.join();
-  const double wall_s =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
+  const harness::LoadTally t = harness::run_closed_loop(
+      closed_loop(opt, router_ports, 3), [&](const std::atomic<int>& done) {
+        harness::await_mid_run(done, opt.jobs);
+        std::printf("cluster: SIGKILL router 0 (pid %d) after %d jobs\n",
+                    int(routers[0].pid), done.load());
+        kill(routers[0].pid, SIGKILL);
+        routers[0].killed = true;
+      });
 
   // A surviving router must still answer the observability plane.
   bool survivor_scrape_ok = false;
-  for (const RouterProc& rp : routers) {
+  for (const harness::ChildProc& rp : routers) {
     if (rp.killed) continue;
-    net::ClientOptions copt;
-    copt.host = "127.0.0.1";
-    copt.port = rp.port;
-    copt.recv_timeout_s = 5;
-    net::Client sc(copt);
+    net::Client sc(harness::client_options(rp.port, 5));
     if (!sc.connect()) continue;
     if (const auto stats = sc.stats())
       survivor_scrape_ok = stats->has("router_submits_routed") &&
@@ -1038,47 +637,18 @@ int run_router_chaos(const Options& opt, int argc, char** argv) {
     break;
   }
 
-  // Graceful stop for the survivors (control-pipe EOF), then reap all.
-  for (RouterProc& rp : routers) {
-    ::close(rp.ctl_fd);
-    rp.ctl_fd = -1;
-  }
-  for (RouterProc& rp : routers) waitpid(rp.pid, nullptr, 0);
+  // Graceful stop for the surviving routers, then drain the shards (all
+  // still alive); their telemetry feeds the duplicate detector.
+  harness::stop_and_reap(routers, SIGTERM);
+  harness::stop_and_reap(shards);
+  const int duplicated = scan_duplicates(opt, stem, shards);
 
-  // Drain the shards (all still alive) and reap; their telemetry feeds
-  // the duplicate detector.
-  for (const ShardProc& sp : shards) {
-    net::ClientOptions copt;
-    copt.host = "127.0.0.1";
-    copt.port = sp.port;
-    copt.recv_timeout_s = 5;
-    net::Client c(copt);
-    if (c.connect()) c.send_shutdown();
-  }
-  for (const ShardProc& sp : shards) waitpid(sp.pid, nullptr, 0);
-  const int duplicated = scan_duplicates(shards);
-
-  int ok = 0, lost = 0, checked = 0, check_failed = 0, failovers = 0;
-  long busy_retries = 0, reconnects = 0;
-  std::vector<double> lat;
-  for (const Rec& r : recs) {
-    r.ok ? ++ok : ++lost;
-    busy_retries += r.busy;
-    reconnects += r.reconnects;
-    failovers += r.failovers;
-    if (r.ok) lat.push_back(r.latency_ms);
-    if (r.checked) {
-      ++checked;
-      if (!r.check_passed) ++check_failed;
-    }
-  }
-  const double p99 = util::percentile(lat, 99);
-  const double throughput = wall_s > 0 ? double(ok) / wall_s : 0;
   std::printf("router-chaos %4d ok %3d lost %3d dup  %7.1f jobs/s  "
               "p99 %7.1fms  busy %4ld reconn %3ld failovers %d\n",
-              ok, lost, duplicated, throughput, p99, busy_retries,
-              reconnects, failovers);
-  std::printf("residual:   %d sampled, %d failed\n", checked, check_failed);
+              t.ok, t.lost, duplicated, t.throughput, t.p99_ms,
+              t.busy_retries, t.reconnects, t.failovers);
+  std::printf("residual:   %d sampled, %d failed\n", t.checked,
+              t.check_failed);
 
   bench::JsonReport report("cluster", argc, argv);
   if (report.enabled()) {
@@ -1086,51 +656,37 @@ int run_router_chaos(const Options& opt, int argc, char** argv) {
         .set("shards", double(nshards))
         .set("routers", double(nrouters))
         .set("jobs", double(opt.jobs))
-        .set("ok", double(ok))
-        .set("lost", double(lost))
+        .set("ok", double(t.ok))
+        .set("lost", double(t.lost))
         .set("duplicated", double(duplicated))
-        .set("failovers", double(failovers))
-        .set("busy_retries", double(busy_retries))
-        .set("reconnects", double(reconnects))
-        .set("throughput_jps", throughput)
-        .set("p99_ms", p99);
+        .set("failovers", double(t.failovers))
+        .set("busy_retries", double(t.busy_retries))
+        .set("reconnects", double(t.reconnects))
+        .set("throughput_jps", t.throughput)
+        .set("p99_ms", t.p99_ms);
     if (!report.write()) return 1;
   }
 
-  bool bad = false;
-  if (ok != opt.jobs) {
-    std::fprintf(stderr, "FAIL: only %d/%d jobs completed through the "
-                         "surviving router(s)\n",
-                 ok, opt.jobs);
-    bad = true;
-  }
-  if (duplicated > failovers) {
-    // A worker whose router died mid-call resubmits through a survivor;
-    // if the first execution was still in flight on the shard, the
-    // replay re-executes — at most one orphaned job per failover. The
-    // client still sees exactly one result. Anything beyond that bound
-    // is a genuine double execution.
-    std::fprintf(stderr,
-                 "FAIL: %d duplicated executions exceed the %d failover "
-                 "resubmissions that could explain them\n",
-                 duplicated, failovers);
-    bad = true;
-  }
-  if (check_failed > 0) {
-    std::fprintf(stderr, "FAIL: %d residual checks failed\n", check_failed);
-    bad = true;
-  }
-  if (failovers == 0) {
-    std::fprintf(stderr, "FAIL: no client ever failed over — the kill "
-                         "exercised nothing\n");
-    bad = true;
-  }
-  if (!survivor_scrape_ok) {
-    std::fprintf(stderr, "FAIL: surviving router's Stats scrape missing "
-                         "router metrics\n");
-    bad = true;
-  }
-  return bad ? 1 : 0;
+  harness::Gate gate;
+  gate.fail_if(t.ok != opt.jobs,
+               "only %d/%d jobs completed through the surviving router(s)",
+               t.ok, opt.jobs);
+  // A worker whose router died mid-call resubmits through a survivor; if
+  // the first execution was still in flight on the shard, the replay
+  // re-executes — at most one orphaned job per failover. The client
+  // still sees exactly one result. Anything beyond that bound is a
+  // genuine double execution.
+  gate.fail_if(duplicated > t.failovers,
+               "%d duplicated executions exceed the %d failover "
+               "resubmissions that could explain them",
+               duplicated, t.failovers);
+  gate.fail_if(t.check_failed > 0, "%d residual checks failed",
+               t.check_failed);
+  gate.fail_if(t.failovers == 0,
+               "no client ever failed over — the kill exercised nothing");
+  gate.fail_if(!survivor_scrape_ok,
+               "surviving router's Stats scrape missing router metrics");
+  return gate.exit_code();
 }
 
 int run_sweep(const Options& opt, int argc, char** argv) {
@@ -1201,19 +757,16 @@ int run_sweep(const Options& opt, int argc, char** argv) {
     if (!report.write()) return 1;
   }
 
-  bool bad = false;
+  harness::Gate gate;
   for (std::size_t i = 0; i < results.size(); ++i) {
     const RunResult& rr = results[i];
-    if (rr.lost > 0 || rr.duplicated > 0 || rr.check_failed > 0 ||
-        !rr.stats_scrape_ok || !rr.merged_stats_ok) {
-      std::fprintf(stderr,
-                   "FAIL: scale %d: %d lost, %d duplicated, %d residual "
-                   "failures, scrape %s, merge %s\n",
-                   scales[i], rr.lost, rr.duplicated, rr.check_failed,
-                   rr.stats_scrape_ok ? "ok" : "missing",
-                   rr.merged_stats_ok ? "ok" : "missing");
-      bad = true;
-    }
+    gate.fail_if(rr.lost > 0 || rr.duplicated > 0 || rr.check_failed > 0 ||
+                     !rr.stats_scrape_ok || !rr.merged_stats_ok,
+                 "scale %d: %d lost, %d duplicated, %d residual failures, "
+                 "scrape %s, merge %s",
+                 scales[i], rr.lost, rr.duplicated, rr.check_failed,
+                 rr.stats_scrape_ok ? "ok" : "missing",
+                 rr.merged_stats_ok ? "ok" : "missing");
   }
   if (opt.min_speedup > 0 && results.size() >= 2) {
     const double base = results.front().throughput;
@@ -1221,13 +774,10 @@ int run_sweep(const Options& opt, int argc, char** argv) {
         base > 0 ? results.back().throughput / base : 0.0;
     std::printf("speedup: %.2fx (%d → %d shards), bound %.2fx\n", speedup,
                 scales.front(), scales.back(), opt.min_speedup);
-    if (speedup < opt.min_speedup) {
-      std::fprintf(stderr, "FAIL: speedup %.2fx below bound %.2fx\n", speedup,
-                   opt.min_speedup);
-      bad = true;
-    }
+    gate.fail_if(speedup < opt.min_speedup, "speedup %.2fx below bound %.2fx",
+                 speedup, opt.min_speedup);
   }
-  return bad ? 1 : 0;
+  return gate.exit_code();
 }
 
 }  // namespace

@@ -76,8 +76,6 @@
 // Exit code is a self-check: nonzero on any failed job, failed residual
 // check, missing expected backpressure, or busted p99 bound.
 #include <signal.h>
-#include <sys/wait.h>
-#include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
@@ -89,7 +87,6 @@
 #include <cstring>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -99,11 +96,8 @@
 #include "cluster/router.hpp"
 #include "cluster/stats_merge.hpp"
 #include "fault/injector.hpp"
-#include "la/norms.hpp"
-#include "net/client.hpp"
-#include "net/server.hpp"
+#include "harness.hpp"
 #include "obs/recorder.hpp"
-#include "runtime/scheduler.hpp"
 #include "util/stats.hpp"
 
 using namespace randla;
@@ -255,135 +249,6 @@ void maybe_inline(net::JobRequest& req, const Options& opt, int i) {
   req.matrix.source = net::MatrixSource::Inline;
 }
 
-/// ‖A·P − Q·R‖_F / ‖A‖_F for a fixed-rank reply, with A regenerated
-/// locally from the request's generator spec.
-double fixed_rank_residual(const net::JobRequest& req,
-                           const net::CallResult& res) {
-  net::MatrixSpec spec = req.matrix;
-  spec.source = net::MatrixSource::Generator;
-  const Matrix<double> a = net::materialize(spec);
-  const Matrix<double>& q = res.tensors[0];
-  const Matrix<double>& r = res.tensors[1];
-  Matrix<double> resid(a.rows(), a.cols());
-  apply_column_permutation<double>(a.view(), res.header.perm, resid.view());
-  blas::gemm<double>(Op::NoTrans, Op::NoTrans, -1.0,
-                     ConstMatrixView<double>(q.view()),
-                     ConstMatrixView<double>(r.view()), 1.0, resid.view());
-  return norm_fro<double>(ConstMatrixView<double>(resid.view())) /
-         norm_fro<double>(ConstMatrixView<double>(a.view()));
-}
-
-/// ‖(A·P)₁:k − Q·R1‖_F for a truncated-QP3 reply (leading k columns of
-/// a pivoted QR are exact, not approximate).
-double qrcp_residual(const net::JobRequest& req, const net::CallResult& res) {
-  const Matrix<double> a = net::materialize(req.matrix);
-  const Matrix<double>& q = res.tensors[0];
-  const Matrix<double>& r1 = res.tensors[1];
-  Matrix<double> lead = permuted_leading_columns<double>(
-      a.view(), res.header.perm, r1.cols());
-  blas::gemm<double>(Op::NoTrans, Op::NoTrans, -1.0,
-                     ConstMatrixView<double>(q.view()),
-                     ConstMatrixView<double>(r1.view()), 1.0, lead.view());
-  return norm_fro<double>(ConstMatrixView<double>(lead.view())) /
-         norm_fro<double>(ConstMatrixView<double>(a.view()));
-}
-
-/// ‖A·P − Q·[R1 R2]‖_F / ‖A‖_F for an RQRCP reply carrying the explicit
-/// Q (want_q). Tensor order on the wire: rdiag, r1, r2, q.
-double rqrcp_residual(const net::JobRequest& req, const net::CallResult& res) {
-  net::MatrixSpec spec = req.matrix;
-  spec.source = net::MatrixSource::Generator;
-  const Matrix<double> a = net::materialize(spec);
-  const Matrix<double>& r1 = res.tensors[1];
-  const Matrix<double>& r2 = res.tensors[2];
-  const Matrix<double>& q = res.tensors[3];
-  const index_t k = r1.rows();
-  Matrix<double> r(k, a.cols());
-  for (index_t j = 0; j < r1.cols(); ++j)
-    for (index_t i = 0; i < k; ++i) r(i, j) = r1(i, j);
-  for (index_t j = 0; j < r2.cols(); ++j)
-    for (index_t i = 0; i < k; ++i) r(i, k + j) = r2(i, j);
-  Matrix<double> resid(a.rows(), a.cols());
-  apply_column_permutation<double>(a.view(), res.header.perm, resid.view());
-  blas::gemm<double>(Op::NoTrans, Op::NoTrans, -1.0,
-                     ConstMatrixView<double>(q.view()),
-                     ConstMatrixView<double>(r.view()), 1.0, resid.view());
-  return norm_fro<double>(ConstMatrixView<double>(resid.view())) /
-         norm_fro<double>(ConstMatrixView<double>(a.view()));
-}
-
-/// Shared contract checks for both RQRCP reply shapes, then the full
-/// residual (only possible when the request asked for Q).
-bool verify_rqrcp(const net::JobRequest& req, const net::CallResult& res,
-                  double tol) {
-  const std::size_t expect = req.want_q ? 4 : 3;
-  if (res.tensors.size() != expect) return false;
-  const index_t k = res.header.tensors[0].rows;  // rdiag is k×1
-  if (res.header.tensors[1].rows != k || res.header.tensors[1].cols != k ||
-      res.header.tensors[2].rows != k ||
-      res.header.perm.size() != std::size_t(req.matrix.n))
-    return false;
-  if (req.kind == runtime::JobKind::Rqrcp && k != req.k) return false;
-  if (req.kind == runtime::JobKind::RqrcpAdaptive &&
-      (k < 1 || (req.max_rank > 0 && k > req.max_rank)))
-    return false;
-  if (!req.want_q) return true;
-  if (res.header.tensors[3].rows != req.matrix.m ||
-      res.header.tensors[3].cols != k)
-    return false;
-  const double err = rqrcp_residual(req, res);
-  if (err > tol) {
-    std::fprintf(stderr, "loadgen: rqrcp residual %.3e > %.1e (req %llu)\n",
-                 err, tol, (unsigned long long)req.request_id);
-    return false;
-  }
-  return true;
-}
-
-bool verify_result(const net::JobRequest& req, const net::CallResult& res,
-                   JobRecord& rec) {
-  if (res.header.status != runtime::JobStatus::Done) return false;
-  switch (req.kind) {
-    case runtime::JobKind::FixedRank: {
-      if (res.tensors.size() != 2) return false;
-      const double err = fixed_rank_residual(req, res);
-      if (err > 1e-8) {
-        std::fprintf(stderr, "loadgen: fixed-rank residual %.3e (req %llu)\n",
-                     err, (unsigned long long)req.request_id);
-        return false;
-      }
-      return true;
-    }
-    case runtime::JobKind::Adaptive: {
-      // The basis dims are the contract here; the ε guarantee itself is
-      // covered by the adaptive unit tests.
-      return res.tensors.size() == 1 &&
-             res.header.tensors[0].cols == req.matrix.n &&
-             res.header.tensors[0].rows >= 1;
-    }
-    case runtime::JobKind::Qrcp: {
-      if (res.tensors.size() != 3) return false;
-      const double err = qrcp_residual(req, res);
-      if (err > 1e-10) {
-        std::fprintf(stderr, "loadgen: qrcp residual %.3e (req %llu)\n", err,
-                     (unsigned long long)req.request_id);
-        return false;
-      }
-      return true;
-    }
-    case runtime::JobKind::Rqrcp:
-      // k = 16 on a numerically rank-8 input: the randomized pivoting
-      // must recover the matrix to roundoff, like the QP3 baseline.
-      return verify_rqrcp(req, res, 1e-10);
-    case runtime::JobKind::RqrcpAdaptive:
-      // The fixed-accuracy contract: residual within the requested ε
-      // (relative mode in the mix), rank discovered within max_rank.
-      return verify_rqrcp(req, res, req.epsilon * 10);
-  }
-  (void)rec;
-  return false;
-}
-
 // ---------------------------------------------------------------------
 // Chaos mode (DESIGN.md §10): loopback scheduler + server under a
 // deterministic fault schedule, clients on the full retry policy.
@@ -448,83 +313,16 @@ int run_chaos(const Options& opt) {
               opt.chaos.c_str(), (unsigned long long)opt.seed, opt.jobs,
               opt.threads, unsigned(server.port()));
 
-  struct ChaosRecord {
-    bool ok = false;
-    int attempts = 0;
-    int busy_retries = 0;
-    int reconnects = 0;
-    bool checked = false;
-    bool check_passed = true;
-  };
-  std::vector<ChaosRecord> records(static_cast<std::size_t>(opt.jobs));
-  std::atomic<int> next_job{0};
-  std::atomic<int> check_counter{0};
-  const int check_period =
-      opt.check_frac > 0
-          ? std::max(1, static_cast<int>(std::lround(1.0 / opt.check_frac)))
-          : 0;
-
-  auto worker = [&](int widx) {
-    net::ClientOptions copt;
-    copt.host = "127.0.0.1";
-    copt.port = server.port();
-    copt.recv_timeout_s = 10;
-    copt.retry.max_attempts = 12;
-    copt.retry.max_busy_retries = 1000;  // correctness over latency here
-    copt.retry.busy_wait_cap_s = 0.5;
-    copt.retry.backoff_seed = opt.seed * 1000 + std::uint64_t(widx);
-    net::Client client(copt);
-    for (;;) {
-      const int i = next_job.fetch_add(1);
-      if (i >= opt.jobs) return;
-      const net::JobRequest req = chaos_request(opt, i);
-      ChaosRecord& rec = records[static_cast<std::size_t>(i)];
-      net::RetryInfo info;
-      const net::CallResult res = client.call_with_retry(req, &info);
-      rec.attempts = info.attempts;
-      rec.busy_retries = info.busy_retries;
-      rec.reconnects = info.reconnects;
-      rec.ok = res.status == net::CallStatus::Ok &&
-               res.header.status == runtime::JobStatus::Done;
-      if (!rec.ok) {
-        std::fprintf(stderr, "loadgen: chaos job %d lost after %d attempts: "
-                     "%s %s %s\n",
-                     i, info.attempts, net::call_status_name(res.status),
-                     res.detail.c_str(), res.header.error.c_str());
-        continue;
-      }
-      if (check_period > 0 && check_counter.fetch_add(1) % check_period == 0) {
-        rec.checked = true;
-        JobRecord scratch;
-        rec.check_passed = verify_result(req, res, scratch);
-      }
-    }
-  };
-  std::vector<std::thread> pool;
-  for (int t = 0; t < opt.threads; ++t) pool.emplace_back(worker, t);
-  for (auto& t : pool) t.join();
-
-  // ------------------------------------------------------------------
-  // Duplicate detection from the scheduler's own telemetry: a tag that
-  // *executed* (Done with cache Miss/None) more than once was genuinely
-  // run twice. A retried submit whose first result was dropped shows up
-  // as a second Done trace with cache == Result — idempotent, not a
-  // duplicate. Failed/Expired traces never count.
-  int duplicated = 0;
-  {
-    std::map<std::string, int> executed;
-    for (const auto& tr : sched.telemetry().traces())
-      if (tr.status == runtime::JobStatus::Done &&
-          (tr.cache == runtime::CacheDisposition::Miss ||
-           tr.cache == runtime::CacheDisposition::None))
-        ++executed[tr.tag];
-    for (const auto& [tag, n] : executed)
-      if (n > 1) {
-        std::fprintf(stderr, "loadgen: tag %s executed %d times\n",
-                     tag.c_str(), n);
-        ++duplicated;
-      }
-  }
+  const harness::LoadTally t = harness::run_closed_loop(
+      {.ports = {server.port()}, .jobs = opt.jobs, .threads = opt.threads,
+       .check_frac = opt.check_frac, .seed = opt.seed, .max_attempts = 12,
+       .busy_wait_cap_s = 0.5,
+       .request = [&](int i) { return chaos_request(opt, i); },
+       .who = "loadgen"});
+  // The scheduler's own telemetry proves "0 duplicated": a retried
+  // submit whose first result was dropped replays from the result cache.
+  const int duplicated = harness::count_duplicates(
+      harness::trace_rows(sched.telemetry().traces()), "loadgen");
 
   // Quiesce the injector before the verification scrape: disabled
   // decisions still consume Philox indices, so a replay with the same
@@ -534,36 +332,21 @@ int run_chaos(const Options& opt) {
   std::optional<net::StatsReply> stats;
   std::optional<net::HealthReply> health;
   for (int attempt = 0; attempt < 3 && (!stats || !health); ++attempt) {
-    net::ClientOptions copt;
-    copt.host = "127.0.0.1";
-    copt.port = server.port();
-    copt.recv_timeout_s = 5;
-    net::Client sc(copt);
+    net::Client sc(harness::client_options(server.port(), 5));
     if (!sc.connect()) continue;
     if (!stats) stats = sc.stats();
     if (!health) health = sc.health();
   }
 
-  int ok = 0, lost = 0, retried = 0, checked = 0, check_failed = 0;
-  long total_busy = 0, total_reconnects = 0;
-  for (const ChaosRecord& r : records) {
-    r.ok ? ++ok : ++lost;
-    if (r.attempts > 1) ++retried;
-    total_busy += r.busy_retries;
-    total_reconnects += r.reconnects;
-    if (r.checked) {
-      ++checked;
-      if (!r.check_passed) ++check_failed;
-    }
-  }
   const auto fs = sched.fault_stats();
 
   std::printf("\n-- chaos summary ----------------------------------------\n");
-  std::printf("jobs:        %d ok, %d lost, %d duplicated (of %d)\n", ok, lost,
-              duplicated, opt.jobs);
+  std::printf("jobs:        %d ok, %d lost, %d duplicated (of %d)\n", t.ok,
+              t.lost, duplicated, opt.jobs);
   std::printf("retries:     %d jobs retried, %ld busy waits, %ld reconnects\n",
-              retried, total_busy, total_reconnects);
-  std::printf("residual:    %d sampled, %d failed\n", checked, check_failed);
+              t.retried, t.busy_retries, t.reconnects);
+  std::printf("residual:    %d sampled, %d failed\n", t.checked,
+              t.check_failed);
   std::printf("faults:      %llu injected (",
               (unsigned long long)injector->injected_total());
   for (int k = 0; k < fault::kNumFaultKinds; ++k) {
@@ -588,23 +371,10 @@ int run_chaos(const Options& opt) {
                 (unsigned long long)health->faults_injected);
   }
 
-  bool bad = false;
-  if (lost > 0) {
-    std::fprintf(stderr, "FAIL: %d jobs lost\n", lost);
-    bad = true;
-  }
-  if (duplicated > 0) {
-    std::fprintf(stderr, "FAIL: %d jobs executed more than once\n", duplicated);
-    bad = true;
-  }
-  if (check_failed > 0) {
-    std::fprintf(stderr, "FAIL: %d residual checks failed\n", check_failed);
-    bad = true;
-  }
-  if (!stats) {
-    std::fprintf(stderr, "FAIL: stats scrape failed after chaos run\n");
-    bad = true;
-  } else {
+  harness::Gate gate;
+  harness::expect_clean(gate, t, duplicated);
+  gate.fail_if(!stats, "stats scrape failed after chaos run");
+  if (stats) {
     // The fault/watchdog series must exist in the scrape even at value 0
     // (they are registered eagerly); the injected counters must also
     // agree with the injector's own accounting.
@@ -612,30 +382,20 @@ int run_chaos(const Options& opt) {
                               "fault_job_requeued_total",
                               "fault_device_unhealthy", "watchdog_fired_total"};
     for (const char* name : required)
-      if (!stats->has(name)) {
-        std::fprintf(stderr, "FAIL: metric series %s missing from scrape\n",
-                     name);
-        bad = true;
-      }
+      gate.fail_if(!stats->has(name), "metric series %s missing from scrape",
+                   name);
     bool saw_injected_series = false;
     for (const auto& [name, v] : stats->metrics)
       if (name.rfind("fault_injected_total{", 0) == 0) saw_injected_series = true;
-    if (!saw_injected_series) {
-      std::fprintf(stderr,
-                   "FAIL: no fault_injected_total{kind=...} series in scrape\n");
-      bad = true;
-    }
+    gate.fail_if(!saw_injected_series,
+                 "no fault_injected_total{kind=...} series in scrape");
   }
-  if (!health) {
-    std::fprintf(stderr, "FAIL: health probe failed after chaos run\n");
-    bad = true;
-  } else if (health->healthy_devices < 1) {
-    std::fprintf(stderr, "FAIL: no healthy devices left\n");
-    bad = true;
-  }
+  gate.fail_if(!health, "health probe failed after chaos run");
+  gate.fail_if(health && health->healthy_devices < 1,
+               "no healthy devices left");
 
   server.stop();
-  return bad ? 1 : 0;
+  return gate.exit_code();
 }
 
 // ---------------------------------------------------------------------
@@ -643,63 +403,24 @@ int run_chaos(const Options& opt) {
 // the merged-stats cross-check below has both views of the same truth.
 
 struct ClusterHost {
-  std::vector<pid_t> pids;
-  std::vector<std::uint16_t> shard_ports;
+  std::vector<harness::ChildProc> shards;
   std::unique_ptr<cluster::Router> router;
 };
-
-/// Child body: a plain shard (scheduler + server) that serves until the
-/// parent's Shutdown frame drains it. Never returns.
-[[noreturn]] void cluster_shard_child(int idx, int port_fd) {
-  obs::Recorder::global().set_source("shard-" + std::to_string(idx));
-  runtime::SchedulerOptions so;
-  so.num_workers = 2;
-  so.queue_capacity = 32;
-  runtime::Scheduler sched(so);
-  net::ServerOptions svo;
-  svo.port = 0;
-  svo.allow_remote_shutdown = true;
-  net::Server server(sched, svo);
-  if (!server.start()) _exit(3);
-  const std::uint16_t port = server.port();
-  if (write(port_fd, &port, sizeof port) != sizeof port) _exit(3);
-  ::close(port_fd);
-  server.wait();
-  _exit(0);
-}
 
 /// Fork the shards (parent is still single-threaded here) and start the
 /// router over them.
 bool start_cluster(const Options& opt, ClusterHost* host) {
-  for (int s = 0; s < opt.cluster; ++s) {
-    int pfd[2];
-    if (pipe(pfd) != 0) return false;
-    const pid_t pid = fork();
-    if (pid < 0) {
-      ::close(pfd[0]);
-      ::close(pfd[1]);
-      return false;
-    }
-    if (pid == 0) {
-      ::close(pfd[0]);
-      cluster_shard_child(s, pfd[1]);
-    }
-    ::close(pfd[1]);
-    std::uint16_t port = 0;
-    const bool got = read(pfd[0], &port, sizeof port) == sizeof port;
-    ::close(pfd[0]);
-    if (!got || port == 0) {
-      kill(pid, SIGKILL);
-      waitpid(pid, nullptr, 0);
-      return false;
-    }
-    host->pids.push_back(pid);
-    host->shard_ports.push_back(port);
-  }
+  runtime::SchedulerOptions so;
+  so.num_workers = 2;
+  so.queue_capacity = 32;
   cluster::RouterOptions ro;
-  ro.port = 0;
-  for (std::uint16_t p : host->shard_ports)
-    ro.shards.push_back({"127.0.0.1", p});
+  for (int s = 0; s < opt.cluster; ++s) {
+    host->shards.push_back(harness::fork_server([&](const auto& ready) {
+      return harness::serve_shard(s, so, {}, ready);
+    }));
+    if (host->shards.back().pid < 0) return false;
+    ro.shards.push_back({"127.0.0.1", host->shards.back().port});
+  }
   ro.replicate_threshold = opt.replicate_threshold;
   ro.hedge = opt.hedge;
   host->router = std::make_unique<cluster::Router>(ro);
@@ -708,14 +429,7 @@ bool start_cluster(const Options& opt, ClusterHost* host) {
 
 void stop_cluster(ClusterHost& host) {
   if (host.router) host.router->stop();
-  for (std::size_t s = 0; s < host.shard_ports.size(); ++s) {
-    net::ClientOptions copt;
-    copt.port = host.shard_ports[s];
-    net::Client client(copt);
-    if (!client.connect() || !client.send_shutdown())
-      kill(host.pids[s], SIGKILL);  // graceful drain failed; reap anyway
-  }
-  for (pid_t pid : host.pids) waitpid(pid, nullptr, 0);
+  harness::stop_and_reap(host.shards);
 }
 
 /// The cluster --check-stats contract: the router's merged scrape must
@@ -725,19 +439,14 @@ void stop_cluster(ClusterHost& host) {
 bool cluster_cross_check(const Options& opt, const ClusterHost& host,
                          const std::optional<net::StatsReply>& merged,
                          int failures) {
-  if (!merged) {
-    std::fprintf(stderr, "FAIL: cluster merged scrape missing\n");
-    return false;
-  }
-  bool ok = true;
-  if (!merged->has("cluster_stale_shards")) {
-    std::fprintf(stderr, "FAIL: merged scrape lacks cluster_stale_shards\n");
-    ok = false;
-  } else if (merged->value("cluster_stale_shards") != 0) {
-    std::fprintf(stderr, "FAIL: %d stale shard(s) in merged scrape\n",
-                 int(merged->value("cluster_stale_shards")));
-    ok = false;
-  }
+  harness::Gate check;
+  check.fail_if(!merged, "cluster merged scrape missing");
+  if (!merged) return false;
+  check.fail_if(!merged->has("cluster_stale_shards"),
+                "merged scrape lacks cluster_stale_shards");
+  check.fail_if(merged->value("cluster_stale_shards") != 0,
+                "%d stale shard(s) in merged scrape",
+                int(merged->value("cluster_stale_shards")));
   // Per-shard direct scrapes: accumulate every mergeable row that the
   // fan-out itself cannot have perturbed (the Stats frames it sends
   // bump the shards' net_*/server_* frame counters between the two
@@ -746,17 +455,11 @@ bool cluster_cross_check(const Options& opt, const ClusterHost& host,
   std::map<std::string, double> sums;
   double submitted = 0;
   int scraped = 0;
-  for (std::size_t s = 0; s < host.shard_ports.size(); ++s) {
-    net::ClientOptions copt;
-    copt.port = host.shard_ports[s];
-    net::Client sc(copt);
-    std::optional<net::StatsReply> st;
-    if (sc.connect()) st = sc.stats();
-    if (!st) {
-      std::fprintf(stderr, "FAIL: direct scrape of shard %zu failed\n", s);
-      ok = false;
-      continue;
-    }
+  for (std::size_t s = 0; s < host.shards.size(); ++s) {
+    const auto st =
+        harness::scrape(harness::client_options(host.shards[s].port));
+    check.fail_if(!st, "direct scrape of shard %zu failed", s);
+    if (!st) continue;
     ++scraped;
     for (const auto& [name, v] : st->metrics) {
       if (!cluster::mergeable_stat(name)) continue;
@@ -769,12 +472,10 @@ bool cluster_cross_check(const Options& opt, const ClusterHost& host,
     // in name and value to the direct view.
     const std::string labeled = cluster::with_shard_label(
         "server_jobs_submitted", static_cast<std::uint32_t>(s));
-    if (merged->value(labeled) != st->value("server_jobs_submitted")) {
-      std::fprintf(stderr, "FAIL: merged %s = %.0f, shard says %.0f\n",
-                   labeled.c_str(), merged->value(labeled),
-                   st->value("server_jobs_submitted"));
-      ok = false;
-    }
+    check.fail_if(
+        merged->value(labeled) != st->value("server_jobs_submitted"),
+        "merged %s = %.0f, shard says %.0f", labeled.c_str(),
+        merged->value(labeled), st->value("server_jobs_submitted"));
   }
   // Every mergeable series must appear in the merged scrape with the
   // per-shard sum. Same-name rows can exist more than once (the router
@@ -789,22 +490,15 @@ bool cluster_cross_check(const Options& opt, const ClusterHost& host,
         found = true;
         break;
       }
-    if (!found) {
-      std::fprintf(stderr,
-                   "FAIL: merged scrape disagrees with per-shard sum %.10g "
-                   "for %s\n",
-                   want, name.c_str());
-      ok = false;
-    } else {
-      ++rows_checked;
-    }
+    check.fail_if(!found,
+                  "merged scrape disagrees with per-shard sum %.10g for %s",
+                  want, name.c_str());
+    rows_checked += found;
   }
-  if (failures == 0 && scraped == int(host.shard_ports.size()) &&
-      submitted != double(opt.jobs)) {
-    std::fprintf(stderr, "FAIL: shards saw %.0f submits for %d jobs\n",
-                 submitted, opt.jobs);
-    ok = false;
-  }
+  check.fail_if(failures == 0 && scraped == int(host.shards.size()) &&
+                    submitted != double(opt.jobs),
+                "shards saw %.0f submits for %d jobs", submitted, opt.jobs);
+  const bool ok = check.exit_code() == 0;
   std::printf("cluster:     merged scrape matches %d/%zu summed series "
               "across %d shards%s\n",
               rows_checked, sums.size(), scraped, ok ? "" : "  [FAIL]");
@@ -870,6 +564,7 @@ int main(int argc, char** argv) {
     if (!start_cluster(opt, &cluster_host)) {
       std::fprintf(stderr, "loadgen: failed to start %d-shard cluster\n",
                    opt.cluster);
+      stop_cluster(cluster_host);
       return 1;
     }
     opt.ports.push_back(int(cluster_host.router->port()));
@@ -914,11 +609,7 @@ int main(int argc, char** argv) {
   std::atomic<int> next_job{0};
   std::atomic<int> done_jobs{0};
   std::atomic<int> transport_failures{0};
-  std::atomic<int> check_counter{0};
-  const int check_period =
-      opt.check_frac > 0
-          ? std::max(1, static_cast<int>(std::lround(1.0 / opt.check_frac)))
-          : 0;
+  harness::CheckSampler sampler(opt.check_frac);
   const auto t0 = std::chrono::steady_clock::now();
 
   auto worker = [&](int widx) {
@@ -926,12 +617,11 @@ int main(int argc, char** argv) {
     // gets the same thread count when threads % endpoints == 0, and the
     // per-endpoint accounting below stays a clean partition of the run.
     const int endpoint = widx % num_endpoints;
-    net::ClientOptions copt;
-    copt.host = opt.host;
-    copt.port = static_cast<std::uint16_t>(opt.ports[size_t(endpoint)]);
-    net::Client client(copt);
+    const int port = opt.ports[size_t(endpoint)];
+    net::Client client(harness::client_options(std::uint16_t(port), 30,
+                                               opt.host));
     if (!client.connect()) {
-      std::fprintf(stderr, "loadgen[%d→:%d]: %s\n", widx, copt.port,
+      std::fprintf(stderr, "loadgen[%d→:%d]: %s\n", widx, port,
                    client.last_error().c_str());
       transport_failures.fetch_add(1);
       return;
@@ -984,9 +674,9 @@ int main(int argc, char** argv) {
         continue;  // rec.ok stays false
       }
       rec.ok = true;
-      if (check_period > 0 && check_counter.fetch_add(1) % check_period == 0) {
+      if (sampler.next()) {
         rec.checked = true;
-        rec.check_passed = verify_result(req, res, rec);
+        rec.check_passed = harness::verify_result(req, res);
       }
     }
   };
@@ -1007,9 +697,7 @@ int main(int argc, char** argv) {
   if (opt.cluster > 1 && opt.drain_mid) {
     drain_out.attempted = true;
     drainer = std::thread([&] {
-      const int trigger = std::max(1, (opt.jobs * 2) / 5);
-      while (done_jobs.load() < trigger)
-        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+      harness::await_mid_run(done_jobs, opt.jobs);
       // Victim = the shard owning the most routing keys, from the same
       // deterministic ring the router evaluates.
       cluster::HashRing ring;
@@ -1124,14 +812,13 @@ int main(int argc, char** argv) {
   std::vector<std::optional<net::StatsReply>> endpoint_stats(
       static_cast<std::size_t>(num_endpoints));
   for (int e = 0; e < num_endpoints; ++e) {
-    net::ClientOptions copt;
-    copt.host = opt.host;
-    copt.port = static_cast<std::uint16_t>(opt.ports[static_cast<std::size_t>(e)]);
-    net::Client sc(copt);
-    if (sc.connect()) endpoint_stats[static_cast<std::size_t>(e)] = sc.stats();
+    const int port = opt.ports[static_cast<std::size_t>(e)];
+    std::string err;
+    endpoint_stats[static_cast<std::size_t>(e)] = harness::scrape(
+        harness::client_options(std::uint16_t(port), 30, opt.host), &err);
     if (!endpoint_stats[static_cast<std::size_t>(e)])
-      std::fprintf(stderr, "loadgen: stats scrape of :%d failed: %s\n",
-                   int(copt.port), sc.last_error().c_str());
+      std::fprintf(stderr, "loadgen: stats scrape of :%d failed: %s\n", port,
+                   err.c_str());
   }
   const std::optional<net::StatsReply>& server_stats = endpoint_stats[0];
   for (int e = 0; e < num_endpoints; ++e) {
@@ -1245,65 +932,47 @@ int main(int argc, char** argv) {
 
   if (opt.send_shutdown) {
     for (int port : opt.ports) {
-      net::ClientOptions copt;
-      copt.host = opt.host;
-      copt.port = static_cast<std::uint16_t>(port);
-      net::Client client(copt);
+      net::Client client(
+          harness::client_options(std::uint16_t(port), 30, opt.host));
       if (client.connect() && client.send_shutdown())
         std::printf("sent shutdown to :%d\n", port);
     }
   }
 
   // Self-check exit code (CI smoke contract).
-  bool bad = false;
-  if (failed > 0 || transport_failures.load() > 0) {
-    std::fprintf(stderr, "FAIL: %d jobs failed, %d transport failures\n",
-                 failed, transport_failures.load());
-    bad = true;
-  }
-  if (check_failed > 0) {
-    std::fprintf(stderr, "FAIL: %d residual checks failed\n", check_failed);
-    bad = true;
-  }
-  if (opt.expect_busy && busy_events == 0) {
-    std::fprintf(stderr, "FAIL: expected Busy backpressure, saw none\n");
-    bad = true;
-  }
-  if (opt.max_p99_ms > 0 && p99 > opt.max_p99_ms) {
-    std::fprintf(stderr, "FAIL: p99 %.1fms exceeds bound %.1fms\n", p99,
-                 opt.max_p99_ms);
-    bad = true;
-  }
-  if (drain_out.attempted && (!drain_out.ok || drain_out.sum.entries == 0)) {
-    std::fprintf(stderr, "FAIL: mid-run drain %s (%llu entries handed off)\n",
-                 drain_out.ok ? "handed off nothing" : "failed",
-                 (unsigned long long)drain_out.sum.entries);
-    bad = true;
-  }
+  harness::Gate gate;
+  gate.fail_if(failed > 0 || transport_failures.load() > 0,
+               "%d jobs failed, %d transport failures", failed,
+               transport_failures.load());
+  gate.fail_if(check_failed > 0, "%d residual checks failed", check_failed);
+  gate.fail_if(opt.expect_busy && busy_events == 0,
+               "expected Busy backpressure, saw none");
+  gate.fail_if(opt.max_p99_ms > 0 && p99 > opt.max_p99_ms,
+               "p99 %.1fms exceeds bound %.1fms", p99, opt.max_p99_ms);
+  gate.fail_if(
+      drain_out.attempted && (!drain_out.ok || drain_out.sum.entries == 0),
+      "mid-run drain %s (%llu entries handed off)",
+      drain_out.ok ? "handed off nothing" : "failed",
+      (unsigned long long)drain_out.sum.entries);
   if (opt.cluster > 0) {
     // Cluster mode: the strict single-server comparison below does not
     // apply (the router's merged reply has no unlabeled server_* rows);
     // the merged-vs-summed cross-check is the contract instead.
-    if (opt.check_stats &&
-        !cluster_cross_check(opt, cluster_host, server_stats,
-                             failed + transport_failures.load()))
-      bad = true;
+    gate.fail_if(opt.check_stats &&
+                     !cluster_cross_check(opt, cluster_host, server_stats,
+                                          failed + transport_failures.load()),
+                 "merged cluster scrape disagrees with the shards");
     stop_cluster(cluster_host);
   } else if (opt.check_stats) {
     // Against a dedicated server, every counter is accounted for: each
     // Busy reply we honored is one server-side shed, every admitted job
     // came back, and nothing was malformed or dropped.
-    if (!server_stats) {
-      std::fprintf(stderr, "FAIL: --check-stats but stats scrape failed\n");
-      bad = true;
-    } else {
+    gate.fail_if(!server_stats, "--check-stats but stats scrape failed");
+    if (server_stats) {
       auto expect = [&](const char* name, double want) {
         const double got = server_stats->value(name);
-        if (got != want) {
-          std::fprintf(stderr, "FAIL: server %s = %.0f, client expects %.0f\n",
-                       name, got, want);
-          bad = true;
-        }
+        gate.fail_if(got != want, "server %s = %.0f, client expects %.0f",
+                     name, got, want);
       };
       expect("server_jobs_busy", double(busy_events));
       expect("server_protocol_errors", 0);
@@ -1314,5 +983,5 @@ int main(int argc, char** argv) {
         expect("server_jobs_submitted", double(opt.jobs));
     }
   }
-  return bad ? 1 : 0;
+  return gate.exit_code();
 }

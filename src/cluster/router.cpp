@@ -5,7 +5,6 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cerrno>
 #include <chrono>
 #include <cmath>
@@ -13,7 +12,6 @@
 #include <deque>
 #include <map>
 #include <mutex>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -62,14 +60,7 @@ constexpr double kSloRefreshS = 0.2;
 struct Router::Impl {
   RouterOptions opts;
 
-  int listen_fd = -1;
-  net::WakePipe wake;
-  std::uint16_t bound_port = 0;
-  std::thread thread;
-  std::atomic<bool> started{false};
-  std::atomic<bool> loop_alive{false};
-  std::atomic<bool> stop_requested{false};
-  std::mutex join_mu;
+  net::LoopHost host;
 
   mutable std::mutex stats_mu;
   RouterStats stats;
@@ -233,6 +224,7 @@ struct Router::Impl {
           std::string("slo_p99_seconds{kind=\"") + obs::slo_kind_name(k) +
               "\"}",
           "rolling p99 latency per job kind");
+    snapshot_views();  // readable before the loop's first pass
   }
 
   double now() const {
@@ -247,7 +239,7 @@ struct Router::Impl {
 
   // Event loop.
   void loop();
-  void accept_ready();
+  bool admit(int fd);  ///< LoopHost admission: under the connection cap?
   void snapshot_views();
 
   // Downstream.
@@ -306,9 +298,9 @@ Router::Router(RouterOptions opts) : impl_(std::make_unique<Impl>(std::move(opts
 
 Router::~Router() { stop(); }
 
-std::uint16_t Router::port() const { return impl_->bound_port; }
+std::uint16_t Router::port() const { return impl_->host.port(); }
 
-bool Router::running() const { return impl_->loop_alive.load(); }
+bool Router::running() const { return impl_->host.running(); }
 
 RouterStats Router::stats() const {
   std::lock_guard<std::mutex> lk(impl_->stats_mu);
@@ -329,38 +321,16 @@ std::vector<std::uint32_t> Router::live_shards() const {
 }
 
 bool Router::start() {
-  if (impl_->started.load()) return true;
-  std::string err;
-  impl_->listen_fd = net::listen_tcp(impl_->opts.bind_addr, impl_->opts.port,
-                                     /*backlog=*/64, &impl_->bound_port, &err);
-  if (impl_->listen_fd < 0) {
-    std::fprintf(stderr, "cluster: %s\n", err.c_str());
-    return false;
-  }
-  if (!impl_->wake.open()) {
-    close(impl_->listen_fd);
-    impl_->listen_fd = -1;
-    return false;
-  }
-  impl_->started.store(true);
-  impl_->loop_alive.store(true);
-  impl_->snapshot_views();
-  impl_->thread = std::thread([this] { impl_->loop(); });
-  return true;
+  Impl* im = impl_.get();
+  return im->host.start(
+      im->opts.bind_addr, im->opts.port, "cluster",
+      "router connection cap reached", [im](int fd) { return im->admit(fd); },
+      [im] { im->loop(); });
 }
 
-void Router::stop() {
-  if (!impl_->started.load()) return;
-  impl_->stop_requested.store(true);
-  impl_->wake.notify();
-  wait();
-}
+void Router::stop() { impl_->host.stop(); }
 
-void Router::wait() {
-  std::lock_guard<std::mutex> lk(impl_->join_mu);
-  if (impl_->thread.joinable()) impl_->thread.join();
-  impl_->wake.close();  // the loop is gone
-}
+void Router::wait() { impl_->host.wait(); }
 
 bool Router::drain(std::uint32_t shard, net::DrainSummary* summary) {
   return impl_->drain_shard(shard, summary);
@@ -373,7 +343,7 @@ bool Router::drain(std::uint32_t shard, net::DrainSummary* summary) {
 /// snapshot — placement is a pure function of (members, weights), so a
 /// locally rebuilt ring coincides with the loop's without touching it.
 bool Router::Impl::drain_shard(std::uint32_t shard, net::DrainSummary* out) {
-  if (!loop_alive.load() || shard >= shards.size()) return false;
+  if (!host.running() || shard >= shards.size()) return false;
   HashRing local{RingOptions{opts.vnodes}};
   {
     std::lock_guard<std::mutex> lk(stats_mu);
@@ -404,7 +374,7 @@ bool Router::Impl::drain_shard(std::uint32_t shard, net::DrainSummary* out) {
     std::lock_guard<std::mutex> lk(ctl_mu);
     drained_pending.push_back(shard);
   }
-  wake.notify();
+  host.notify();
   return true;
 }
 
@@ -425,13 +395,9 @@ void Router::Impl::loop() {
       }
       for (const std::uint32_t shard : done) retire_shard(shard);
     }
-    if (stop_requested.load() && !draining) {
+    if (host.stop_requested() && !draining) {
       draining = true;
       drain_start = now();
-      if (listen_fd >= 0) {
-        close(listen_fd);
-        listen_fd = -1;
-      }
       // Detached duplicate work (peer fills, losing hedge legs) would
       // otherwise hold the drain open and then be torn down as forward
       // errors at the timeout; cancel it cleanly instead.
@@ -448,14 +414,9 @@ void Router::Impl::loop() {
     }
 
     std::vector<pollfd> fds;
+    host.add_pollfds(&fds);
     // kind: 0 = listener/wake, 1 = down, 2 = up.
-    std::vector<std::pair<int, std::uint64_t>> fd_ref;
-    if (listen_fd >= 0) {
-      fds.push_back(pollfd{listen_fd, POLLIN, 0});
-      fd_ref.emplace_back(0, 0);
-    }
-    fds.push_back(pollfd{wake.fd(), POLLIN, 0});
-    fd_ref.emplace_back(0, 0);
+    std::vector<std::pair<int, std::uint64_t>> fd_ref(fds.size(), {0, 0});
     for (auto& [id, d] : downs) {
       short ev = POLLIN;
       if (d.io.pending_write()) ev |= POLLOUT;
@@ -473,15 +434,7 @@ void Router::Impl::loop() {
     if (rc < 0 && errno != EINTR) break;
 
     for (std::size_t i = 0; i < fds.size(); ++i) {
-      if (fds[i].revents == 0) continue;
-      if (fds[i].fd == wake.fd()) {
-        wake.drain();
-        continue;
-      }
-      if (fds[i].fd == listen_fd) {
-        accept_ready();
-        continue;
-      }
+      if (fds[i].revents == 0 || host.service(fds[i])) continue;
       const auto [kind, id] = fd_ref[i];
       if (kind == 1) {
         if (!downs.count(id)) continue;
@@ -539,12 +492,7 @@ void Router::Impl::loop() {
   downs.clear();  // closes every socket
   ups.clear();
   exchanges.clear();
-  if (listen_fd >= 0) {
-    close(listen_fd);
-    listen_fd = -1;
-  }
   snapshot_views();
-  loop_alive.store(false);
 }
 
 void Router::Impl::snapshot_views() {
@@ -565,26 +513,17 @@ void Router::Impl::snapshot_views() {
   views_snapshot = std::move(views);
 }
 
-void Router::Impl::accept_ready() {
-  for (;;) {
-    const int fd = accept4(listen_fd, nullptr, nullptr, SOCK_NONBLOCK);
-    if (fd < 0) return;
-    if (static_cast<int>(downs.size()) >= opts.max_connections) {
-      const auto frame = net::encode_error(net::ErrorReply{
-          0, net::ErrorCode::ServerFull, "router connection cap reached"});
-      ssize_t ignored = send(fd, frame.data(), frame.size(), MSG_NOSIGNAL);
-      (void)ignored;
-      close(fd);
-      bump(&RouterStats::conns_refused);
-      continue;
-    }
-    net::set_tcp_nodelay(fd);
-    Down d;
-    d.io = net::FramedConn(fd);
-    d.last_active = now();
-    downs.emplace(next_down_id++, std::move(d));
-    bump(&RouterStats::conns_accepted);
+bool Router::Impl::admit(int fd) {
+  if (static_cast<int>(downs.size()) >= opts.max_connections) {
+    bump(&RouterStats::conns_refused);
+    return false;
   }
+  Down d;
+  d.io = net::FramedConn(fd);
+  d.last_active = now();
+  downs.emplace(next_down_id++, std::move(d));
+  bump(&RouterStats::conns_accepted);
+  return true;
 }
 
 // ---------------------------------------------------------------------
@@ -652,7 +591,7 @@ void Router::Impl::dispatch_down(std::uint64_t cid, net::FrameType type,
         // the router itself. The shards' own in-flight results still
         // stream back through exchanges already open.
         broadcast_shutdown();
-        stop_requested.store(true);
+        host.request_stop();
       } else {
         d.io.append(net::encode_error(net::ErrorReply{
             0, net::ErrorCode::BadRequest, "shutdown not allowed"}));
@@ -678,7 +617,7 @@ void Router::Impl::handle_submit(std::uint64_t cid, const std::uint8_t* frame,
         net::ErrorReply{0, net::ErrorCode::BadRequest, "malformed submit"}));
     return;
   }
-  if (stop_requested.load()) {
+  if (host.stop_requested()) {
     d.io.append(net::encode_error(net::ErrorReply{
         req->request_id, net::ErrorCode::ShuttingDown, "router draining"}));
     return;
@@ -884,7 +823,7 @@ void Router::Impl::check_fanouts(double t) {
 void Router::Impl::handle_health(std::uint64_t cid) {
   Down& d = downs[cid];
   net::HealthReply h;
-  h.serving = !stop_requested.load();
+  h.serving = !host.stop_requested();
   h.total_devices = static_cast<std::uint32_t>(shards.size());
   h.healthy_devices = static_cast<std::uint32_t>(ring.size());
   std::size_t queued = 0;

@@ -400,7 +400,9 @@ HeaderStatus peek_header(const std::uint8_t* data, std::size_t size,
 /// once, and fills MatrixSpec::inline_view — the zero-copy ingest path.
 /// Every bounds check (dimension caps, the size-lie guard comparing the
 /// announced element count against the actual remaining payload) runs
-/// BEFORE the arena lease, so a forged header still costs nothing.
+/// BEFORE the arena lease, so a forged header still costs nothing. An
+/// inline payload with a NaN or ±Inf entry decodes to nullopt on either
+/// path: it is never admitted, factored or cached.
 std::optional<JobRequest> decode_submit(const std::uint8_t* payload,
                                         std::size_t size,
                                         runtime::Arena* arena = nullptr);

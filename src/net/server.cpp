@@ -1,11 +1,8 @@
 #include "net/server.hpp"
 
 #include <poll.h>
-#include <sys/socket.h>
-#include <unistd.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
@@ -258,14 +255,7 @@ struct Server::Impl {
   runtime::Scheduler& sched;
   ServerOptions opts;
 
-  int listen_fd = -1;
-  WakePipe wake;
-  std::uint16_t bound_port = 0;
-  std::thread thread;
-  std::atomic<bool> started{false};
-  std::atomic<bool> loop_alive{false};
-  std::atomic<bool> stop_requested{false};
-  std::mutex join_mu;
+  LoopHost host;
 
   mutable std::mutex stats_mu;
   ServerStats stats;
@@ -361,7 +351,7 @@ struct Server::Impl {
   }
 
   void loop();
-  void accept_ready();
+  bool admit(int fd);  ///< LoopHost admission: under the connection cap?
   void read_ready(std::uint64_t cid);
   bool flush(Conn& c);
   void queue_frame(Conn& c, std::vector<std::uint8_t> frame);
@@ -394,9 +384,9 @@ Server::Server(runtime::Scheduler& sched, ServerOptions opts)
 
 Server::~Server() { stop(); }
 
-std::uint16_t Server::port() const { return impl_->bound_port; }
+std::uint16_t Server::port() const { return impl_->host.port(); }
 
-bool Server::running() const { return impl_->loop_alive.load(); }
+bool Server::running() const { return impl_->host.running(); }
 
 ServerStats Server::stats() const {
   std::lock_guard<std::mutex> lk(impl_->stats_mu);
@@ -404,37 +394,15 @@ ServerStats Server::stats() const {
 }
 
 bool Server::start() {
-  if (impl_->started.load()) return true;
-  std::string err;
-  impl_->listen_fd = listen_tcp(impl_->opts.bind_addr, impl_->opts.port,
-                                /*backlog=*/64, &impl_->bound_port, &err);
-  if (impl_->listen_fd < 0) {
-    std::fprintf(stderr, "net: %s\n", err.c_str());
-    return false;
-  }
-  if (!impl_->wake.open()) {
-    close(impl_->listen_fd);
-    impl_->listen_fd = -1;
-    return false;
-  }
-  impl_->started.store(true);
-  impl_->loop_alive.store(true);
-  impl_->thread = std::thread([this] { impl_->loop(); });
-  return true;
+  Impl* im = impl_.get();
+  return im->host.start(
+      im->opts.bind_addr, im->opts.port, "net", "connection cap reached",
+      [im](int fd) { return im->admit(fd); }, [im] { im->loop(); });
 }
 
-void Server::stop() {
-  if (!impl_->started.load()) return;
-  impl_->stop_requested.store(true);
-  impl_->wake.notify();
-  wait();
-}
+void Server::stop() { impl_->host.stop(); }
 
-void Server::wait() {
-  std::lock_guard<std::mutex> lk(impl_->join_mu);
-  if (impl_->thread.joinable()) impl_->thread.join();
-  impl_->wake.close();  // the loop is gone
-}
+void Server::wait() { impl_->host.wait(); }
 
 // ---------------------------------------------------------------------
 
@@ -442,13 +410,9 @@ void Server::Impl::loop() {
   bool draining = false;
   double drain_start = 0;
   for (;;) {
-    if (stop_requested.load() && !draining) {
+    if (host.stop_requested() && !draining) {
       draining = true;
       drain_start = now();
-      if (listen_fd >= 0) {
-        close(listen_fd);
-        listen_fd = -1;
-      }
     }
     if (draining) {
       bool pending_writes = false;
@@ -460,13 +424,8 @@ void Server::Impl::loop() {
     }
 
     std::vector<pollfd> fds;
-    std::vector<std::uint64_t> fd_conn;  // conn id per pollfd (0 = not a conn)
-    if (listen_fd >= 0) {
-      fds.push_back(pollfd{listen_fd, POLLIN, 0});
-      fd_conn.push_back(0);
-    }
-    fds.push_back(pollfd{wake.fd(), POLLIN, 0});
-    fd_conn.push_back(0);
+    host.add_pollfds(&fds);
+    std::vector<std::uint64_t> fd_conn(fds.size(), 0);  // conn id per pollfd
     for (auto& [id, c] : conns) {
       short ev = POLLIN;
       if (c.io.pending_write()) ev |= POLLOUT;
@@ -479,23 +438,17 @@ void Server::Impl::loop() {
     if (rc < 0 && errno != EINTR) break;
 
     for (std::size_t i = 0; i < fds.size(); ++i) {
-      if (fds[i].revents == 0) continue;
-      if (fds[i].fd == wake.fd()) {
-        wake.drain();
-      } else if (fds[i].fd == listen_fd) {
-        accept_ready();
-      } else {
-        const std::uint64_t cid = fd_conn[i];
-        if (!conns.count(cid)) continue;  // dropped earlier this cycle
-        if (fds[i].revents & (POLLERR | POLLNVAL)) {
-          drop_conn(cid);
-          continue;
-        }
-        if (fds[i].revents & (POLLIN | POLLHUP)) read_ready(cid);
-        if (conns.count(cid) && (fds[i].revents & POLLOUT)) {
-          Conn& c = conns[cid];
-          if (!flush(c)) drop_conn(cid);
-        }
+      if (fds[i].revents == 0 || host.service(fds[i])) continue;
+      const std::uint64_t cid = fd_conn[i];
+      if (!conns.count(cid)) continue;  // dropped earlier this cycle
+      if (fds[i].revents & (POLLERR | POLLNVAL)) {
+        drop_conn(cid);
+        continue;
+      }
+      if (fds[i].revents & (POLLIN | POLLHUP)) read_ready(cid);
+      if (conns.count(cid) && (fds[i].revents & POLLOUT)) {
+        Conn& c = conns[cid];
+        if (!flush(c)) drop_conn(cid);
       }
     }
 
@@ -522,36 +475,20 @@ void Server::Impl::loop() {
     if (c.inflight > 0) bump(&ServerStats::results_dropped, c.inflight);
   conns.clear();
   inflight.clear();
-  if (listen_fd >= 0) {
-    close(listen_fd);
-    listen_fd = -1;
-  }
-  // The wake pipe stays open until Server::wait() has joined this thread.
-  loop_alive.store(false);
 }
 
-void Server::Impl::accept_ready() {
-  for (;;) {
-    const int fd = accept4(listen_fd, nullptr, nullptr, SOCK_NONBLOCK);
-    if (fd < 0) return;
-    if (static_cast<int>(conns.size()) >= opts.max_connections) {
-      // Best-effort typed refusal on the fresh (empty-buffer) socket.
-      const auto frame = encode_error(
-          ErrorReply{0, ErrorCode::ServerFull, "connection cap reached"});
-      ssize_t ignored = send(fd, frame.data(), frame.size(), MSG_NOSIGNAL);
-      (void)ignored;
-      close(fd);
-      bump(&ServerStats::conns_refused);
-      continue;
-    }
-    set_tcp_nodelay(fd);
-    Conn c;
-    c.io = FramedConn(fd);
-    c.last_active = now();
-    conns.emplace(next_conn_id++, std::move(c));
-    bump(&ServerStats::conns_accepted);
-    obs_.connections.inc();
+bool Server::Impl::admit(int fd) {
+  if (static_cast<int>(conns.size()) >= opts.max_connections) {
+    bump(&ServerStats::conns_refused);
+    return false;
   }
+  Conn c;
+  c.io = FramedConn(fd);
+  c.last_active = now();
+  conns.emplace(next_conn_id++, std::move(c));
+  bump(&ServerStats::conns_accepted);
+  obs_.connections.inc();
+  return true;
 }
 
 void Server::Impl::read_ready(std::uint64_t cid) {
@@ -614,7 +551,7 @@ void Server::Impl::dispatch(std::uint64_t cid, FrameType type,
     case FrameType::Shutdown:
       obs_.frames_shutdown.inc();
       if (opts.allow_remote_shutdown) {
-        stop_requested.store(true);
+        host.request_stop();
       } else {
         queue_frame(c, encode_error(ErrorReply{0, ErrorCode::BadRequest,
                                                "shutdown not allowed"}));
@@ -718,7 +655,7 @@ void Server::Impl::handle_submit(std::uint64_t cid, const std::uint8_t* payload,
     obs_.busy.inc();
     return;
   }
-  if (stop_requested.load()) {
+  if (host.stop_requested()) {
     queue_frame(c, encode_error(ErrorReply{req->request_id,
                                            ErrorCode::ShuttingDown,
                                            "server draining"}));
@@ -919,7 +856,7 @@ void Server::Impl::handle_health(std::uint64_t cid, std::size_t len) {
     return;
   }
   HealthReply h;
-  h.serving = !stop_requested.load();
+  h.serving = !host.stop_requested();
   const auto fs = sched.fault_stats();
   h.total_devices = static_cast<std::uint32_t>(sched.num_workers());
   h.healthy_devices = static_cast<std::uint32_t>(
@@ -998,7 +935,7 @@ void Server::Impl::handle_drain(std::uint64_t cid,
   // jobs, flush (the DrainReply above goes out with them), exit. The
   // router re-points the keyshare only after it reads the DrainReply, so
   // handoff-completion strictly precedes ownership transfer.
-  stop_requested.store(true);
+  host.request_stop();
 }
 
 DrainSummary Server::Impl::stream_handoff(const DrainRequest& d) {

@@ -4,12 +4,14 @@
 #include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <sys/time.h>
 #include <unistd.h>
 
 #include <cerrno>
 #include <cmath>
+#include <cstdio>
 #include <cstring>
 #include <utility>
 
@@ -200,35 +202,94 @@ FramedConn::Flush FramedConn::flush(std::size_t* sent) {
 
 // ---------------------------------------------------------------------
 
-bool WakePipe::open() {
-  int fds[2];
-  if (pipe(fds) != 0) return false;
-  set_nonblocking(fds[0]);
-  std::lock_guard<std::mutex> lk(mu_);
-  r_ = fds[0];
-  w_ = fds[1];
+bool LoopHost::start(const std::string& bind_addr, std::uint16_t port,
+                     const char* who, std::string refusal, Admit admit,
+                     std::function<void()> loop) {
+  if (started_.load()) return true;
+  std::string err;
+  listen_fd_ = listen_tcp(bind_addr, port, /*backlog=*/64, &port_, &err);
+  int wake[2];
+  if (listen_fd_ < 0 || pipe(wake) != 0) {
+    std::fprintf(stderr, "%s: %s\n", who,
+                 listen_fd_ < 0 ? err.c_str() : "wake pipe failed");
+    close_listener();
+    return false;
+  }
+  set_nonblocking(wake[0]);
+  {
+    std::lock_guard<std::mutex> wl(wake_mu_);
+    wake_r_ = wake[0];
+    wake_w_ = wake[1];
+  }
+  refusal_ = encode_error(ErrorReply{0, ErrorCode::ServerFull, refusal});
+  admit_ = std::move(admit);
+  started_.store(true);
+  loop_alive_.store(true);
+  thread_ = std::thread([this, loop = std::move(loop)] {
+    loop();
+    close_listener();
+    loop_alive_.store(false);  // the wake pipe stays open until wait()
+  });
   return true;
 }
 
-void WakePipe::notify() {
-  std::lock_guard<std::mutex> lk(mu_);
-  if (w_ < 0) return;
+void LoopHost::stop() {
+  if (!started_.load()) return;
+  request_stop();
+  wait();
+}
+
+void LoopHost::wait() {
+  std::lock_guard<std::mutex> lk(join_mu_);
+  if (thread_.joinable()) thread_.join();
+  std::lock_guard<std::mutex> wl(wake_mu_);  // the loop is gone
+  if (wake_r_ >= 0) ::close(wake_r_);
+  if (wake_w_ >= 0) ::close(wake_w_);
+  wake_r_ = wake_w_ = -1;
+}
+
+void LoopHost::request_stop() {
+  stop_requested_.store(true);
+  notify();
+}
+
+void LoopHost::notify() {
+  std::lock_guard<std::mutex> lk(wake_mu_);
+  if (wake_w_ < 0) return;
   const char b = 1;
-  ssize_t ignored = write(w_, &b, 1);
+  ssize_t ignored = write(wake_w_, &b, 1);
   (void)ignored;
 }
 
-void WakePipe::drain() {
-  char buf[64];
-  while (::read(r_, buf, sizeof buf) > 0) {
-  }
+void LoopHost::add_pollfds(std::vector<pollfd>* fds) {
+  if (stop_requested()) close_listener();
+  if (listen_fd_ >= 0) fds->push_back(pollfd{listen_fd_, POLLIN, 0});
+  fds->push_back(pollfd{wake_r_, POLLIN, 0});
 }
 
-void WakePipe::close() {
-  std::lock_guard<std::mutex> lk(mu_);
-  if (r_ >= 0) ::close(r_);
-  if (w_ >= 0) ::close(w_);
-  r_ = w_ = -1;
+bool LoopHost::service(const pollfd& p) {
+  if (p.fd == wake_r_) {
+    char buf[64];
+    while (::read(wake_r_, buf, sizeof buf) > 0) {
+    }
+    return true;
+  }
+  if (p.fd != listen_fd_) return false;
+  for (;;) {
+    const int fd = accept4(listen_fd_, nullptr, nullptr, SOCK_NONBLOCK);
+    if (fd < 0) break;
+    set_tcp_nodelay(fd);
+    if (admit_(fd)) continue;
+    // Best-effort typed refusal on the fresh (empty-buffer) socket.
+    (void)send(fd, refusal_.data(), refusal_.size(), MSG_NOSIGNAL);
+    ::close(fd);
+  }
+  return true;
+}
+
+void LoopHost::close_listener() {
+  if (listen_fd_ >= 0) ::close(listen_fd_);
+  listen_fd_ = -1;
 }
 
 }  // namespace randla::net

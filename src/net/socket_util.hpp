@@ -7,22 +7,27 @@
 // an fd. Both poll loops (the server's connections and the router's
 // downstream and upstream sides) also need one framed nonblocking
 // connection — read until EAGAIN, parse frames in place, append,
-// flush, give a drained buffer's memory back — and one wake pipe that
-// control threads use to interrupt poll(2). FramedConn and WakePipe are
-// those two, written once. The free helpers are errno-preserving and
+// flush, give a drained buffer's memory back — and one loop lifecycle
+// with the wake pipe that control threads use to interrupt poll(2).
+// FramedConn and LoopHost are those two, written once. The free
+// helpers are errno-preserving and
 // report failure detail through an optional out-string instead of
 // stderr so callers decide how loud to be.
 #pragma once
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <mutex>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include "net/protocol.hpp"
 
+struct pollfd;
 struct sockaddr_in;
 
 namespace randla::net {
@@ -115,22 +120,56 @@ class FramedConn {
   std::size_t woff_ = 0;  ///< flushed prefix of wbuf_
 };
 
-/// Self-pipe that lets control threads interrupt a poll loop. notify()
-/// and close() share one mutex, so a wake byte is never written to an
-/// fd another thread is closing; close() runs after the loop joined.
-class WakePipe {
+/// The lifecycle of a poll-loop service (net::Server, cluster::Router):
+/// listener, wake self-pipe, loop thread, stop/wait. The owner keeps its poll
+/// set, conns and counters; its loop polls add_pollfds() with its own
+/// fds, offers each ready fd to service() first, and drains once
+/// stop_requested() (the listener is closed by then).
+class LoopHost {
  public:
-  ~WakePipe() { close(); }
+  LoopHost() = default;
+  LoopHost(const LoopHost&) = delete;  // the loop thread holds `this`
+  LoopHost& operator=(const LoopHost&) = delete;
+  ~LoopHost() { stop(); }
 
-  bool open();    ///< false if pipe(2) failed
-  void notify();  ///< any thread; a no-op once closed
-  void drain();   ///< loop thread: swallow pending wake bytes
-  void close();
-  int fd() const { return r_; }  ///< read end, for poll(2)
+  /// Take a fresh socket (nonblocking, TCP_NODELAY) or return false:
+  /// the host then sends Error(ServerFull, refusal) and closes it.
+  using Admit = std::function<bool(int fd)>;
+
+  /// Listen on bind_addr:port (0 = ephemeral) and run `loop` on its own
+  /// thread; the listener closes again when `loop` returns. False, with
+  /// the reason on stderr after `who`, if binding failed. Idempotent.
+  bool start(const std::string& bind_addr, std::uint16_t port,
+             const char* who, std::string refusal, Admit admit,
+             std::function<void()> loop);
+  void stop();          ///< request_stop(), then wait()
+  void wait();          ///< join the loop (any thread, any number of times)
+  void request_stop();  ///< any thread, the loop's own included
+  bool stop_requested() const { return stop_requested_.load(); }
+  bool running() const { return loop_alive_.load(); }
+  std::uint16_t port() const { return port_; }
+  void notify();  ///< interrupt the loop's poll(2); any thread
+
+  // Loop thread only:
+  /// Wake pipe + listener (closed for good once a stop is requested).
+  void add_pollfds(std::vector<pollfd>* fds);
+  /// True when `p` was the listener (accepted) or the wake pipe (drained).
+  bool service(const pollfd& p);
 
  private:
-  std::mutex mu_;
-  int r_ = -1, w_ = -1;
+  void close_listener();
+
+  int listen_fd_ = -1;
+  std::uint16_t port_ = 0;
+  /// Wake pipe. notify() and its close in wait() share wake_mu_, so no
+  /// wake byte is written to an fd being closed; it closes post-join.
+  std::mutex wake_mu_;
+  int wake_r_ = -1, wake_w_ = -1;
+  std::vector<std::uint8_t> refusal_;  ///< encoded ServerFull frame
+  Admit admit_;
+  std::thread thread_;
+  std::atomic<bool> started_{false}, loop_alive_{false}, stop_requested_{false};
+  std::mutex join_mu_;
 };
 
 }  // namespace randla::net

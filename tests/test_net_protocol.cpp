@@ -7,9 +7,11 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <limits>
 
 #include "net/protocol.hpp"
 #include "rng/philox.hpp"
+#include "runtime/arena.hpp"
 
 using namespace randla;
 using namespace randla::net;
@@ -337,6 +339,44 @@ TEST(NetProtocol, InlineSizeLieRejectedBeforeAllocation) {
   std::memcpy(raw.data() + dims_at, &big, 4);
   std::memcpy(raw.data() + dims_at + 4, &big, 4);
   EXPECT_FALSE(decode_submit(raw.data(), raw.size()).has_value());
+}
+
+TEST(NetProtocol, NonFiniteInlinePayloadRejected) {
+  // One NaN or one +Inf entry makes the whole submit malformed, on the
+  // owning and the arena path alike; the finite twin decodes bitwise.
+  JobRequest req = sample_fixed_rank();
+  req.matrix.source = MatrixSource::Inline;
+  req.matrix.m = 5;
+  req.matrix.n = 3;
+  req.matrix.inline_data = Matrix<double>(5, 3);
+  for (index_t j = 0; j < 3; ++j)
+    for (index_t i = 0; i < 5; ++i)
+      req.matrix.inline_data(i, j) = 1e300 * (double(i) - 2.5 * double(j));
+  const auto twin = encode_submit(req);
+  runtime::Arena arena;
+  for (runtime::Arena* a : {static_cast<runtime::Arena*>(nullptr), &arena}) {
+    const Parsed p = parse(twin);
+    const auto dec = decode_submit(p.payload, p.len, a);
+    ASSERT_TRUE(dec.has_value());
+    const ConstMatrixView<double> got =
+        a ? dec->matrix.inline_view.view
+          : ConstMatrixView<double>(dec->matrix.inline_data.view());
+    for (index_t j = 0; j < 3; ++j)
+      for (index_t i = 0; i < 5; ++i)
+        EXPECT_EQ(std::memcmp(&got(i, j), &req.matrix.inline_data(i, j), 8),
+                  0);
+  }
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity()}) {
+    JobRequest poisoned = req;
+    poisoned.matrix.inline_data = Matrix<double>::copy_of(
+        req.matrix.inline_data.view());
+    poisoned.matrix.inline_data(3, 1) = bad;
+    const auto frame = encode_submit(poisoned);
+    const Parsed p = parse(frame);
+    EXPECT_FALSE(decode_submit(p.payload, p.len).has_value()) << bad;
+    EXPECT_FALSE(decode_submit(p.payload, p.len, &arena).has_value()) << bad;
+  }
 }
 
 TEST(NetProtocol, ChunkCountLieRejected) {

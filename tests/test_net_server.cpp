@@ -12,6 +12,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <thread>
 #include <utility>
@@ -409,6 +410,27 @@ TEST(NetServer, BadRequestGetsTypedError) {
   EXPECT_EQ(res.error.request_id, 8u);
   // Connection stays usable after a request-level (not frame-level) error.
   EXPECT_TRUE(client.ping(5));
+  server.stop();
+}
+
+TEST(NetServer, NonFiniteInlinePayloadRefusedUnadmitted) {
+  runtime::Scheduler sched(small_sched());
+  Server server(sched);
+  ASSERT_TRUE(server.start());
+  Client client(client_for(server));
+  ASSERT_TRUE(client.connect());
+
+  JobRequest req = lowrank_fixed_request(9, 23);
+  req.matrix.inline_data = materialize(req.matrix);
+  req.matrix.source = MatrixSource::Inline;
+  req.matrix.inline_data(7, 3) = std::numeric_limits<double>::quiet_NaN();
+  const CallResult res = client.call(req);
+  ASSERT_EQ(res.status, CallStatus::RemoteError);
+  EXPECT_EQ(res.error.code, ErrorCode::BadRequest);
+  // Never admitted: the scheduler's result cache was never even probed.
+  EXPECT_EQ(server.stats().jobs_submitted, 0u);
+  EXPECT_EQ(server.stats().protocol_errors, 1u);
+  EXPECT_EQ(sched.result_cache_stats().misses, 0u);
   server.stop();
 }
 
