@@ -64,8 +64,9 @@
 #      BENCH_cluster_avail.json;
 #   7. memory safety: the wire-protocol, server, cluster-router,
 #      fault-plane, batched BLAS, zero-copy decode, and QRCP-engine
-#      suites rebuilt with -fsanitize=address,undefined (the `asan`
-#      preset), so adversarial frames, the shared FramedConn buffer
+#      suites rebuilt with -fsanitize=address,undefined and
+#      -fno-sanitize-recover=undefined (the `asan` preset, so a UBSan
+#      report fails the stage), so adversarial frames, the shared FramedConn buffer
 #      offsets and the arena lease/recycle paths run under
 #      ASan/UBSan — plus one chaos replay
 #      under ASan, since injected resets/truncations exercise the

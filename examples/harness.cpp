@@ -227,6 +227,20 @@ void await_mid_run(const std::atomic<int>& done, int jobs) {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
 }
 
+std::uint32_t busiest_shard(const cluster::HashRing& ring,
+                            const std::vector<std::uint64_t>& keys) {
+  std::map<std::uint32_t, int> owned;
+  for (std::uint64_t key : keys) owned[*ring.owner(key)] += 1;
+  std::uint32_t victim = ring.members().front();
+  int most = 0;
+  for (const auto& [s, cnt] : owned)
+    if (cnt > most) {
+      victim = s;
+      most = cnt;
+    }
+  return victim;
+}
+
 // ---------------------------------------------------------------------
 // Verification.
 

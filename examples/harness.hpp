@@ -18,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "cluster/hash_ring.hpp"
 #include "net/client.hpp"
 #include "net/server.hpp"
 #include "runtime/telemetry.hpp"
@@ -138,6 +139,12 @@ void expect_clean(Gate& gate, const LoadTally& t, int duplicated);
 /// Block until `done` reaches 40% of `jobs` (at least 1): the point
 /// where mid-run faults and drains strike, once caches are warm.
 void await_mid_run(const std::atomic<int>& done, int jobs);
+
+/// The mid-run victim: the shard of a non-empty `ring` owning the most
+/// of the routing `keys`, ties broken toward the lowest shard id.
+/// Killing or draining it is guaranteed to move live keys.
+std::uint32_t busiest_shard(const cluster::HashRing& ring,
+                            const std::vector<std::uint64_t>& keys);
 
 // ---------------------------------------------------------------------
 // Verification.

@@ -83,7 +83,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -298,12 +297,10 @@ RunResult run_scale(const Options& opt, int nshards, RunMode mode) {
     cluster::HashRing ring(cluster::RingOptions{ro.vnodes});
     for (int s = 0; s < nshards; ++s)
       ring.add(static_cast<std::uint32_t>(s));
-    std::map<std::uint32_t, int> owned;
+    std::vector<std::uint64_t> keys;
     for (int i = 0; i < std::max(1, opt.spread); ++i)
-      owned[*ring.owner(cluster::routing_key(build_request(opt, i)))] += 1;
-    rr.victim = owned.rbegin()->first;
-    for (const auto& [s, cnt] : owned)
-      if (cnt > owned[rr.victim]) rr.victim = s;
+      keys.push_back(cluster::routing_key(build_request(opt, i)));
+    rr.victim = harness::busiest_shard(ring, keys);
     rr.successor = *ring.successor(cluster::ring_point(rr.victim, 0));
   }
 

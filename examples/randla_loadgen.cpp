@@ -703,12 +703,10 @@ int main(int argc, char** argv) {
       cluster::HashRing ring;
       for (int s = 0; s < opt.cluster; ++s)
         ring.add(static_cast<std::uint32_t>(s));
-      std::map<std::uint32_t, int> owned;
+      std::vector<std::uint64_t> keys;
       for (int i = 0; i < opt.jobs; ++i)
-        owned[*ring.owner(cluster::routing_key(build_request(opt, i)))] += 1;
-      drain_out.victim = owned.begin()->first;
-      for (const auto& [s, cnt] : owned)
-        if (cnt > owned[drain_out.victim]) drain_out.victim = s;
+        keys.push_back(cluster::routing_key(build_request(opt, i)));
+      drain_out.victim = harness::busiest_shard(ring, keys);
       drain_out.t0_s = std::chrono::duration<double>(
                            std::chrono::steady_clock::now() - t0)
                            .count();

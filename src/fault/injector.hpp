@@ -5,8 +5,8 @@
 // once per dispatch on the worker thread (transient stalls, worker
 // hangs, artificial latency), and net::Server at frame boundaries
 // (connection resets, corrupted/truncated frames, delayed writes).
-// sim::Device has no injection site; it serves only the Fig. 15
-// multi-GPU reproduction. Decisions are
+// The Fig. 15 multi-GPU reproduction (sim::MultiDeviceContext) has no
+// injection site. Decisions are
 // pure functions of (seed, kind, per-kind decision index) through the
 // library's Philox4x32 block cipher, so the same seed and schedule
 // reproduce the identical injection sequence per kind regardless of

@@ -1,7 +1,7 @@
 // perfmodel.hpp — analytic performance model of the paper's Section 5,
 // calibrated to the NVIDIA K40c numbers reported in Sections 8–9.
 //
-// The repository has no GPU, so every kernel a simulated Device executes
+// The repository has no GPU, so every kernel a simulated device runs
 // is charged a *modeled* time from this module (see DESIGN.md). The
 // model is deliberately simple — throughput tables at the paper's
 // operating points plus a tall-aspect penalty — because its job is to

@@ -6,8 +6,8 @@
 // a coalesced batch) and executes it inline on its own thread,
 // consulting the two-level sketch/result cache for fixed-rank requests
 // and charging the modeled K40c seconds of each job to that worker's
-// record. (sim::Device threads serve only the Fig. 15 multi-GPU
-// reproduction, not this runtime.)
+// record. (The Fig. 15 multi-GPU reproduction, sim::MultiDeviceContext,
+// is not part of this runtime.)
 //
 // Robustness policy per job:
 //   * deadline — a job whose queue wait already exceeds its deadline

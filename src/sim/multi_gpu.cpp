@@ -18,18 +18,13 @@ namespace randla::sim {
 using rsvd::PhaseTimer;
 
 MultiDeviceContext::MultiDeviceContext(int num_devices, model::DeviceSpec spec)
-    : spec_(std::move(spec)) {
+    : ng_(num_devices), spec_(std::move(spec)) {
   if (num_devices <= 0)
     throw std::invalid_argument("MultiDeviceContext: need at least 1 device");
-  devices_.reserve(static_cast<std::size_t>(num_devices));
-  for (int i = 0; i < num_devices; ++i)
-    devices_.push_back(std::make_unique<Device>(i, spec_));
 }
 
-MultiDeviceContext::~MultiDeviceContext() = default;
-
 MultiDeviceContext::RowBlocks MultiDeviceContext::distribute_rows(
-    ConstMatrixView<double> a) {
+    ConstMatrixView<double> a) const {
   const int ng = num_devices();
   RowBlocks rb;
   rb.rows = a.rows();
@@ -55,33 +50,38 @@ MultiDeviceContext::RowBlocks MultiDeviceContext::distribute_rows(
 
 namespace {
 
-// Bulk-synchronous helper: run `fn(i)` on every device, wait, and return
-// the largest modeled time any device charged for the step.
+// Bulk-synchronous step: run `fn(i)` for every device block in order;
+// `fn` returns that block's modeled seconds. The step ends when the
+// slowest device does. Blocks run one after another so every kernel
+// inside one keeps the whole BLAS worker pool.
 template <class Fn>
-double parallel_step(std::vector<std::unique_ptr<Device>>& devices, Fn&& fn) {
-  std::vector<double> before(devices.size());
-  for (std::size_t i = 0; i < devices.size(); ++i)
-    before[i] = devices[i]->modeled_time();
-  std::vector<std::future<void>> futs;
-  futs.reserve(devices.size());
-  for (std::size_t i = 0; i < devices.size(); ++i)
-    futs.push_back(devices[i]->submit([&fn, i] { fn(static_cast<int>(i)); }));
-  for (auto& f : futs) f.get();
-  double end = 0;
-  for (std::size_t i = 0; i < devices.size(); ++i)
-    end = std::max(end, devices[i]->modeled_time());
-  // Barrier semantics: every device's clock advances to the laggard's.
-  for (auto& d : devices) d->advance_to(end);
+double device_step(int ng, Fn&& fn) {
   double step = 0;
-  for (std::size_t i = 0; i < devices.size(); ++i)
-    step = std::max(step, end - before[i]);
+  for (int i = 0; i < ng; ++i) step = std::max(step, fn(i));
   return step;
+}
+
+// Host reduction sum = Σ parts[i], summed in device order into a
+// zero-filled matrix. Returns the modeled seconds of gathering every
+// part over PCIe. Gram partials from syrk hold only their triangle over
+// zeros, so the other triangle of their sum stays zero.
+double host_reduce(const model::DeviceSpec& spec,
+                   const std::vector<Matrix<double>>& parts,
+                   Matrix<double>& sum) {
+  const index_t rows = parts.front().rows();
+  const index_t cols = parts.front().cols();
+  sum.resize(rows, cols);
+  for (const auto& part : parts)
+    for (index_t j = 0; j < cols; ++j)
+      for (index_t r = 0; r < rows; ++r) sum(r, j) += part(r, j);
+  return double(parts.size()) *
+         model::transfer_seconds(spec, double(rows) * double(cols));
 }
 
 }  // namespace
 
 MultiDeviceContext::CholQrTimes MultiDeviceContext::multi_cholqr_columns(
-    std::vector<Matrix<double>>& w_blocks, Matrix<double>* r_out) {
+    std::vector<Matrix<double>>& w_blocks, Matrix<double>* r_out) const {
   const int ng = num_devices();
   if (static_cast<int>(w_blocks.size()) != ng)
     throw std::invalid_argument("multi_cholqr_columns: block count mismatch");
@@ -90,24 +90,18 @@ MultiDeviceContext::CholQrTimes MultiDeviceContext::multi_cholqr_columns(
 
   // Step 1 (Fig. 4): local Gram blocks G(i) = W(i)ᵀ·W(i).
   std::vector<Matrix<double>> g(static_cast<std::size_t>(ng));
-  times.device += parallel_step(devices_, [&](int i) {
+  times.device += device_step(ng, [&](int i) {
     auto& wi = w_blocks[static_cast<std::size_t>(i)];
     auto& gi = g[static_cast<std::size_t>(i)];
     gi.resize(k, k);
     blas::syrk(Uplo::Upper, Op::Trans, 1.0,
                ConstMatrixView<double>(wi.view()), 0.0, gi.view());
-    devices_[static_cast<std::size_t>(i)]->charge(model::gemm_seconds(
-        spec_, k, k, wi.rows()));
+    return model::gemm_seconds(spec_, k, k, wi.rows());
   });
 
   // Host: reduce G = Σ G(i) (gathered over PCIe), then Cholesky.
-  Matrix<double> gram(k, k);
-  for (int i = 0; i < ng; ++i) {
-    const auto& gi = g[static_cast<std::size_t>(i)];
-    for (index_t j = 0; j < k; ++j)
-      for (index_t r = 0; r <= j; ++r) gram(r, j) += gi(r, j);
-    times.comms += model::transfer_seconds(spec_, double(k) * double(k));
-  }
+  Matrix<double> gram;
+  times.comms += host_reduce(spec_, g, gram);
   times.host += model::host_seconds(spec_, flops::potrf(k));
   if (lapack::potrf(Uplo::Upper, gram.view()) != 0) {
     // CholQR breakdown: fall back to a host-side Householder pass on the
@@ -143,19 +137,18 @@ MultiDeviceContext::CholQrTimes MultiDeviceContext::multi_cholqr_columns(
   // Broadcast R̄ and solve locally: W(i) ← W(i)·R̄⁻¹.
   times.comms +=
       double(ng) * model::transfer_seconds(spec_, double(k) * double(k));
-  times.device += parallel_step(devices_, [&](int i) {
+  times.device += device_step(ng, [&](int i) {
     auto& wi = w_blocks[static_cast<std::size_t>(i)];
     blas::trsm(Side::Right, Uplo::Upper, Op::NoTrans, Diag::NonUnit, 1.0,
                ConstMatrixView<double>(gram.view()), wi.view());
-    devices_[static_cast<std::size_t>(i)]->charge(
-        flops::trsm(wi.rows(), k) /
-        (model::gemm_gflops(spec_, k, wi.rows()) * 1e9));
+    return flops::trsm(wi.rows(), k) /
+           (model::gemm_gflops(spec_, k, wi.rows()) * 1e9);
   });
   return times;
 }
 
 MultiFixedRankResult MultiDeviceContext::fixed_rank(
-    ConstMatrixView<double> a, const rsvd::FixedRankOptions& opts) {
+    ConstMatrixView<double> a, const rsvd::FixedRankOptions& opts) const {
   if (opts.sampling != rsvd::SamplingKind::Gaussian)
     throw std::invalid_argument(
         "MultiDeviceContext::fixed_rank: only Gaussian sampling is "
@@ -179,7 +172,7 @@ MultiFixedRankResult MultiDeviceContext::fixed_rank(
   std::vector<Matrix<double>> b_part(static_cast<std::size_t>(ng));
   {
     PhaseTimer t(res.phases.prng, "rsvd.prng");
-    modeled.prng += parallel_step(devices_, [&](int i) {
+    modeled.prng += device_step(ng, [&](int i) {
       const index_t c = ab.block[static_cast<std::size_t>(i)].rows();
       auto& om = omega[static_cast<std::size_t>(i)];
       om.resize(l, c);
@@ -188,30 +181,22 @@ MultiFixedRankResult MultiDeviceContext::fixed_rank(
       rng::fill_gaussian(
           om.view(), opts.seed,
           static_cast<std::uint64_t>(ab.offset[static_cast<std::size_t>(i)]));
-      devices_[static_cast<std::size_t>(i)]->charge(
-          model::prng_seconds(spec_, l, c));
+      return model::prng_seconds(spec_, l, c);
     });
   }
-  Matrix<double> b(l, n);
+  Matrix<double> b;
   {
     PhaseTimer t(res.phases.sampling, "rsvd.sampling");
-    modeled.sampling += parallel_step(devices_, [&](int i) {
+    modeled.sampling += device_step(ng, [&](int i) {
+      const auto& ai = ab.block[static_cast<std::size_t>(i)];
       auto& bp = b_part[static_cast<std::size_t>(i)];
       bp.resize(l, n);
       blas::gemm(Op::NoTrans, Op::NoTrans, 1.0,
                  ConstMatrixView<double>(omega[static_cast<std::size_t>(i)].view()),
-                 ConstMatrixView<double>(ab.block[static_cast<std::size_t>(i)].view()),
-                 0.0, bp.view());
-      devices_[static_cast<std::size_t>(i)]->charge(model::gemm_seconds(
-          spec_, l, n, ab.block[static_cast<std::size_t>(i)].rows()));
+                 ConstMatrixView<double>(ai.view()), 0.0, bp.view());
+      return model::gemm_seconds(spec_, l, n, ai.rows());
     });
-    // Host accumulation B = Σ B(i) (gather over PCIe).
-    for (int i = 0; i < ng; ++i) {
-      const auto& bp = b_part[static_cast<std::size_t>(i)];
-      for (index_t j = 0; j < n; ++j)
-        for (index_t r = 0; r < l; ++r) b(r, j) += bp(r, j);
-      modeled.comms += model::transfer_seconds(spec_, double(l) * double(n));
-    }
+    modeled.comms += host_reduce(spec_, b_part, b);
   }
 
   // ---- Step 1b: power iterations (paper §4 distribution).
@@ -232,15 +217,14 @@ MultiFixedRankResult MultiDeviceContext::fixed_rank(
     // C(i) = B·A(i)ᵀ on each device.
     {
       PhaseTimer t(res.phases.gemm_iter, "rsvd.gemm_iter");
-      modeled.gemm_iter += parallel_step(devices_, [&](int i) {
+      modeled.gemm_iter += device_step(ng, [&](int i) {
         const auto& ai = ab.block[static_cast<std::size_t>(i)];
         auto& cp = c_part[static_cast<std::size_t>(i)];
         cp.resize(l, ai.rows());
         blas::gemm(Op::NoTrans, Op::Trans, 1.0,
                    ConstMatrixView<double>(b.view()),
                    ConstMatrixView<double>(ai.view()), 0.0, cp.view());
-        devices_[static_cast<std::size_t>(i)]->charge(
-            model::gemm_seconds(spec_, l, ai.rows(), n));
+        return model::gemm_seconds(spec_, l, ai.rows(), n);
       });
     }
 
@@ -250,34 +234,27 @@ MultiFixedRankResult MultiDeviceContext::fixed_rank(
     {
       PhaseTimer t(res.phases.orth_iter, "rsvd.orth_iter");
       std::vector<Matrix<double>> g(static_cast<std::size_t>(ng));
-      modeled.orth_iter += parallel_step(devices_, [&](int i) {
+      modeled.orth_iter += device_step(ng, [&](int i) {
         auto& cp = c_part[static_cast<std::size_t>(i)];
         auto& gi = g[static_cast<std::size_t>(i)];
         gi.resize(l, l);
         blas::syrk(Uplo::Lower, Op::NoTrans, 1.0,
                    ConstMatrixView<double>(cp.view()), 0.0, gi.view());
-        devices_[static_cast<std::size_t>(i)]->charge(
-            model::gemm_seconds(spec_, l, l, cp.cols()));
+        return model::gemm_seconds(spec_, l, l, cp.cols());
       });
-      Matrix<double> gram(l, l);
-      for (int i = 0; i < ng; ++i) {
-        const auto& gi = g[static_cast<std::size_t>(i)];
-        for (index_t j = 0; j < l; ++j)
-          for (index_t r = j; r < l; ++r) gram(r, j) += gi(r, j);
-        modeled.comms += model::transfer_seconds(spec_, double(l) * double(l));
-      }
+      Matrix<double> gram;
+      modeled.comms += host_reduce(spec_, g, gram);
       modeled.orth_iter += model::host_seconds(spec_, flops::potrf(l));
       const bool chol_ok = lapack::potrf(Uplo::Lower, gram.view()) == 0;
       if (chol_ok) {
         modeled.comms += double(ng) * model::transfer_seconds(
                                           spec_, double(l) * double(l));
-        modeled.orth_iter += parallel_step(devices_, [&](int i) {
+        modeled.orth_iter += device_step(ng, [&](int i) {
           auto& cp = c_part[static_cast<std::size_t>(i)];
           blas::trsm(Side::Left, Uplo::Lower, Op::NoTrans, Diag::NonUnit, 1.0,
                      ConstMatrixView<double>(gram.view()), cp.view());
-          devices_[static_cast<std::size_t>(i)]->charge(
-              flops::trsm(cp.cols(), l) /
-              (model::gemm_gflops(spec_, l, cp.cols()) * 1e9));
+          return flops::trsm(cp.cols(), l) /
+                 (model::gemm_gflops(spec_, l, cp.cols()) * 1e9);
         });
       } else {
         // Breakdown: gather C on the host, HHQR its transpose, scatter.
@@ -307,22 +284,15 @@ MultiFixedRankResult MultiDeviceContext::fixed_rank(
     // B = C·A = Σ C(i)·A(i): local partials, host reduction.
     {
       PhaseTimer t(res.phases.gemm_iter, "rsvd.gemm_iter");
-      modeled.gemm_iter += parallel_step(devices_, [&](int i) {
+      modeled.gemm_iter += device_step(ng, [&](int i) {
         const auto& ai = ab.block[static_cast<std::size_t>(i)];
         auto& bp = b_part[static_cast<std::size_t>(i)];
         blas::gemm(Op::NoTrans, Op::NoTrans, 1.0,
                    ConstMatrixView<double>(c_part[static_cast<std::size_t>(i)].view()),
                    ConstMatrixView<double>(ai.view()), 0.0, bp.view());
-        devices_[static_cast<std::size_t>(i)]->charge(
-            model::gemm_seconds(spec_, l, n, ai.rows()));
+        return model::gemm_seconds(spec_, l, n, ai.rows());
       });
-      b.view().set_zero();
-      for (int i = 0; i < ng; ++i) {
-        const auto& bp = b_part[static_cast<std::size_t>(i)];
-        for (index_t j = 0; j < n; ++j)
-          for (index_t r = 0; r < l; ++r) b(r, j) += bp(r, j);
-        modeled.comms += model::transfer_seconds(spec_, double(l) * double(n));
-      }
+      modeled.comms += host_reduce(spec_, b_part, b);
     }
   }
   res.cholqr_fallbacks = fallbacks;
@@ -332,14 +302,8 @@ MultiFixedRankResult MultiDeviceContext::fixed_rank(
   {
     PhaseTimer t(res.phases.qrcp, "rsvd.qrcp");
     modeled.comms += model::transfer_seconds(spec_, double(l) * double(n));
-    auto fut = devices_[0]->submit([&] {
-      fac = qrcp::qrcp_truncated(ConstMatrixView<double>(b.view()), opts.k,
-                                 opts.qrcp_block);
-      devices_[0]->charge(model::qp3_seconds(spec_, l, n, opts.k));
-    });
-    fut.get();
-    const double end = devices_[0]->modeled_time();
-    for (auto& d : devices_) d->advance_to(end);
+    fac = qrcp::qrcp_truncated(ConstMatrixView<double>(b.view()), opts.k,
+                               opts.qrcp_block);
     modeled.qrcp += model::qp3_seconds(spec_, l, n, opts.k);
     res.qrcp_stats = fac.stats;
   }
@@ -349,7 +313,7 @@ MultiFixedRankResult MultiDeviceContext::fixed_rank(
   {
     PhaseTimer t(res.phases.qr, "rsvd.qr");
     std::vector<Matrix<double>> w(static_cast<std::size_t>(ng));
-    parallel_step(devices_, [&](int i) {
+    modeled.qr += device_step(ng, [&](int i) {
       const auto& ai = ab.block[static_cast<std::size_t>(i)];
       auto& wi = w[static_cast<std::size_t>(i)];
       wi.resize(ai.rows(), opts.k);
@@ -357,9 +321,8 @@ MultiFixedRankResult MultiDeviceContext::fixed_rank(
         wi.view().col(j).copy_from(
             ai.view().col(fac.perm[static_cast<std::size_t>(j)]));
       // Column gather is bandwidth-class work.
-      devices_[static_cast<std::size_t>(i)]->charge(
-          double(ai.rows()) * double(opts.k) * 8.0 /
-          (spec_.mem_bw_gbps * 1e9));
+      return double(ai.rows()) * double(opts.k) * 8.0 /
+             (spec_.mem_bw_gbps * 1e9);
     });
     Matrix<double> rbar(opts.k, opts.k);
     auto tq = multi_cholqr_columns(w, &rbar);

@@ -14,26 +14,25 @@
 //   * Steps 2–3: truncated QP3 of B on one device, tall-skinny QR of
 //     A·P₁:k by the same multi-device CholQR.
 //
-// Every kernel executes for real on the device's worker thread and
-// charges modeled K40c time; host↔device traffic charges modeled PCIe
-// time into the Comms phase. Modeled clocks combine with max() at each
-// bulk-synchronous point, so the modeled total behaves like concurrent
-// hardware even though the host has one core.
+// Every block's kernels execute for real, one block after another on
+// the calling thread (each kernel keeps the whole BLAS worker pool),
+// and each block is charged its modeled K40c seconds; host↔device
+// traffic charges modeled PCIe time into the Comms phase. A
+// bulk-synchronous step costs its slowest block, so the modeled total
+// behaves like concurrent devices whatever the host's core count.
 #pragma once
 
-#include <memory>
 #include <vector>
 
 #include "model/perfmodel.hpp"
 #include "rsvd/rsvd.hpp"
-#include "sim/device.hpp"
 
 namespace randla::sim {
 
 /// Result of a multi-device run: the usual factorization plus the
 /// modeled phase breakdown (the measured wall-clock breakdown in
-/// `result.phases` is real but reflects the single-core host, so the
-/// modeled numbers are the ones comparable to the paper's Figure 15).
+/// `result.phases` is real but reflects the host, so the modeled
+/// numbers are the ones comparable to the paper's Figure 15).
 struct MultiFixedRankResult {
   rsvd::FixedRankResult result;
   rsvd::PhaseTimes modeled;  ///< per-phase modeled seconds incl. comms
@@ -43,13 +42,8 @@ struct MultiFixedRankResult {
 class MultiDeviceContext {
  public:
   MultiDeviceContext(int num_devices, model::DeviceSpec spec = {});
-  ~MultiDeviceContext();
 
-  int num_devices() const { return static_cast<int>(devices_.size()); }
-  Device& device(int i) { return *devices_[static_cast<std::size_t>(i)]; }
-  const Device& device(int i) const {
-    return *devices_[static_cast<std::size_t>(i)];
-  }
+  int num_devices() const { return ng_; }
   const model::DeviceSpec& spec() const { return spec_; }
 
   /// A distributed in 1D block-row format (device i owns rows
@@ -60,12 +54,12 @@ class MultiDeviceContext {
     index_t rows = 0;
     index_t cols = 0;
   };
-  RowBlocks distribute_rows(ConstMatrixView<double> a);
+  RowBlocks distribute_rows(ConstMatrixView<double> a) const;
 
   /// Multi-device fixed-rank random sampling (Gaussian sampling only —
   /// the paper's multi-GPU implementation).
   MultiFixedRankResult fixed_rank(ConstMatrixView<double> a,
-                                  const rsvd::FixedRankOptions& opts);
+                                  const rsvd::FixedRankOptions& opts) const;
 
   /// Multi-device CholQR of a row-distributed tall-skinny matrix
   /// (Figure 4): orthonormalizes the columns of W in place and returns
@@ -76,10 +70,10 @@ class MultiDeviceContext {
     double comms = 0;
   };
   CholQrTimes multi_cholqr_columns(std::vector<Matrix<double>>& w_blocks,
-                                   Matrix<double>* r_out = nullptr);
+                                   Matrix<double>* r_out = nullptr) const;
 
  private:
-  std::vector<std::unique_ptr<Device>> devices_;
+  int ng_;
   model::DeviceSpec spec_;
 };
 

@@ -1,8 +1,9 @@
 // test_harness.cpp — the shared driver harness (examples/harness): the
 // reply verifier that randla_loadgen and randla_cluster gate their
 // residual checks on, the duplicate-execution rule behind their
-// "0 duplicated" invariants, the check sampler, and the fork/port
-// handshake. These otherwise only run inside CI's driver stages.
+// "0 duplicated" invariants, the check sampler, the mid-run victim
+// rule, and the fork/port handshake. These otherwise only run inside
+// CI's driver stages.
 #include <gtest/gtest.h>
 
 #include <signal.h>
@@ -229,4 +230,26 @@ TEST(HarnessDuplicates, TraceRowsNameStatusAndCache) {
   EXPECT_EQ(rows[0].status, "done");
   EXPECT_EQ(rows[0].cache, "miss");
   EXPECT_EQ(count_duplicates(rows, "test"), 1);
+}
+
+TEST(HarnessVictim, MostKeysWinsTiesGoToTheLowestId) {
+  cluster::HashRing ring;
+  for (std::uint32_t s = 0; s < 3; ++s) ring.add(s);
+  // Three keys owned by each shard, from keys spread over the ring.
+  std::vector<std::vector<std::uint64_t>> of(3);
+  for (std::uint64_t i = 1; i < 1000; ++i) {
+    const std::uint64_t key = i * 0x9E3779B97F4A7C15ull;
+    auto& mine = of[*ring.owner(key)];
+    if (mine.size() < 3) mine.push_back(key);
+  }
+  for (const auto& keys : of) ASSERT_EQ(keys.size(), 3u);
+
+  EXPECT_EQ(busiest_shard(ring, {of[1][0], of[2][0], of[2][1]}), 2u);
+  // Shards 0 and 2 tie for the most keys: the lowest id wins, whichever
+  // key comes first.
+  EXPECT_EQ(busiest_shard(ring, {of[2][0], of[2][1], of[1][0], of[0][0],
+                                 of[0][1]}),
+            0u);
+  // Shards 1 and 2 tie, shard 0 owns none.
+  EXPECT_EQ(busiest_shard(ring, {of[2][0], of[1][0]}), 1u);
 }

@@ -1,15 +1,17 @@
-// Tests for the simulated device runtime and multi-device random
-// sampling: ordering/clock semantics of Device, numerical agreement of
-// multi-device runs with the single-device algorithm, scaling behaviour
+// Tests for multi-device random sampling: numerical agreement of
+// multi-device runs with the single-device algorithm, thread-count
+// invariance, the modeled charges of each step, and scaling behaviour
 // of the modeled clocks (Figure 15's shape).
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cmath>
+#include <cstring>
 #include <vector>
 
 #include "data/test_matrices.hpp"
 #include "la/blas3.hpp"
+#include "la/flops.hpp"
+#include "la/parallel.hpp"
 #include "rsvd/rsvd.hpp"
 #include "sim/multi_gpu.hpp"
 #include "test_util.hpp"
@@ -20,45 +22,6 @@ namespace {
 using testing::ortho_defect;
 using testing::random_matrix;
 using testing::rel_diff;
-
-TEST(Device, ExecutesTasksInOrder) {
-  Device d(0, model::DeviceSpec{});
-  std::vector<int> order;
-  std::vector<std::future<void>> futs;
-  for (int i = 0; i < 20; ++i)
-    futs.push_back(d.submit([&order, i] { order.push_back(i); }));
-  for (auto& f : futs) f.get();
-  ASSERT_EQ(order.size(), 20u);
-  for (int i = 0; i < 20; ++i) EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
-}
-
-TEST(Device, SynchronizeWaitsForQueue) {
-  Device d(0, model::DeviceSpec{});
-  std::atomic<int> done{0};
-  for (int i = 0; i < 5; ++i) d.submit([&done] { done++; });
-  d.synchronize();
-  EXPECT_EQ(done.load(), 5);
-}
-
-TEST(Device, ClockChargesAccumulate) {
-  Device d(0, model::DeviceSpec{});
-  d.charge(0.5);
-  d.charge(0.25);
-  EXPECT_DOUBLE_EQ(d.modeled_time(), 0.75);
-  d.advance_to(0.6);  // behind: no-op
-  EXPECT_DOUBLE_EQ(d.modeled_time(), 0.75);
-  d.advance_to(1.5);
-  EXPECT_DOUBLE_EQ(d.modeled_time(), 1.5);
-}
-
-TEST(Device, ExceptionPropagatesThroughFuture) {
-  Device d(0, model::DeviceSpec{});
-  auto fut = d.submit([] { throw std::runtime_error("kernel fault"); });
-  EXPECT_THROW(fut.get(), std::runtime_error);
-  // Device still serviceable afterwards.
-  auto ok = d.submit([] {});
-  ok.get();
-}
 
 TEST(MultiDeviceContext, RowDistributionCoversMatrix) {
   MultiDeviceContext ctx(3);
@@ -236,9 +199,72 @@ TEST(MultiDevice, PhaseClocksPopulated) {
   EXPECT_GT(r.modeled.qr, 0.0);
   EXPECT_GT(r.modeled.comms, 0.0);
   EXPECT_NEAR(r.modeled_total, r.modeled.total(), 1e-12);
-  // Device virtual clocks ended aligned (barrier at every phase).
-  EXPECT_NEAR(ctx.device(0).modeled_time(), ctx.device(1).modeled_time(),
-              1e-12);
+}
+
+TEST(MultiDevice, Step3ChargesMatchTheModel) {
+  // Step 3 on one device is the column gather of A·P₁:k, then the
+  // CholQR of the gathered block (Gram, host Cholesky, triangular
+  // solve), then the host assembly of R. Every one of them is charged.
+  const index_t m = 200, n = 80, k = 8, p = 4;
+  auto a = random_matrix<double>(m, n, 308);
+  rsvd::FixedRankOptions opts;
+  opts.k = k;
+  opts.p = p;
+  opts.q = 1;
+  MultiDeviceContext ctx(1);
+  auto r = ctx.fixed_rank(a.view(), opts);
+  ASSERT_EQ(r.result.cholqr_fallbacks, 0);
+
+  const auto& spec = ctx.spec();
+  const double gather =
+      double(m) * double(k) * 8.0 / (spec.mem_bw_gbps * 1e9);
+  const double device =
+      model::gemm_seconds(spec, k, k, m) +
+      flops::trsm(m, k) / (model::gemm_gflops(spec, k, m) * 1e9);
+  const double host = model::host_seconds(spec, flops::potrf(k));
+  const double assembly = model::host_seconds(
+      spec, flops::trsm(n - k, k) + double(k) * double(k) * double(n - k));
+  EXPECT_DOUBLE_EQ(r.modeled.qr, gather + (device + host) + assembly);
+}
+
+bool same_bits(const Matrix<double>& x, const Matrix<double>& y) {
+  return x.rows() == y.rows() && x.cols() == y.cols() &&
+         std::memcmp(x.data(), y.data(),
+                     sizeof(double) * static_cast<std::size_t>(x.rows()) *
+                         static_cast<std::size_t>(x.cols())) == 0;
+}
+
+TEST(MultiDevice, BitwiseAcrossThreadCounts) {
+  // The device blocks run one after another and each kernel splits its
+  // work over the BLAS pool by shape, never by thread count, so the
+  // factors are bitwise the same however many workers there are.
+  const index_t m = 600, n = 2200, k = 8, p = 4;  // wide: threaded gemm
+  auto a = random_matrix<double>(m, n, 309);
+  rsvd::FixedRankOptions opts;
+  opts.k = k;
+  opts.p = p;
+  opts.q = 1;
+  MultiDeviceContext ctx(3);
+  const index_t saved = blas_num_threads();
+  set_blas_num_threads(1);
+  auto r1 = ctx.fixed_rank(a.view(), opts);
+  set_blas_num_threads(4);
+  const auto splits = pool_stats().split_batches;
+  auto r4 = ctx.fixed_rank(a.view(), opts);
+  EXPECT_GT(pool_stats().split_batches, splits) << "pool never engaged";
+  set_blas_num_threads(saved);
+
+  EXPECT_EQ(r1.result.perm, r4.result.perm);
+  EXPECT_TRUE(same_bits(r1.result.q, r4.result.q));
+  EXPECT_TRUE(same_bits(r1.result.r, r4.result.r));
+  EXPECT_EQ(r1.modeled.prng, r4.modeled.prng);
+  EXPECT_EQ(r1.modeled.sampling, r4.modeled.sampling);
+  EXPECT_EQ(r1.modeled.gemm_iter, r4.modeled.gemm_iter);
+  EXPECT_EQ(r1.modeled.orth_iter, r4.modeled.orth_iter);
+  EXPECT_EQ(r1.modeled.qrcp, r4.modeled.qrcp);
+  EXPECT_EQ(r1.modeled.qr, r4.modeled.qr);
+  EXPECT_EQ(r1.modeled.comms, r4.modeled.comms);
+  EXPECT_EQ(r1.modeled_total, r4.modeled_total);
 }
 
 }  // namespace
